@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .exceptions import (
     DimOutOfRange,
@@ -23,21 +22,26 @@ from .exceptions import (
     SubsetTooLarge,
 )
 from .logspace import log_add, log_sub, log10_of, to_float
-from .numkernel import EIG_ZERO_REL, check_psd, psd_sqrt, sym_eig
+from .numkernel import EigenPair, clean_spectrum, sym_eig
 from .privacy import p_factor_of
 from .workloads import Workload, check_subset, column_project
 
 RANGE_FAMILY_CAP = 10 ** 6
 EXHAUSTIVE_CELL_CAP = 20
 TIGHT_SPREAD_TOL = 1e-8
+# worker threads a caller may ask for; beyond this a pool only adds overhead
+THREAD_CAP = 64
 
 
-def _svdb_log_from_eigvals(values: np.ndarray, n: int) -> float:
-    values = check_psd(values)
-    # zero out spectral roundoff: its square roots would inflate the sum
-    values[values < EIG_ZERO_REL * values.max(initial=0.0)] = 0.0
-    s = float(np.sum(np.sqrt(values)))
-    return 2.0 * math.log(s) - math.log(n) if s > 0 else -math.inf
+def check_threads(threads):
+    """Validate a worker-thread count before any pool exists; None is serial."""
+    if threads is not None and not 1 <= threads <= THREAD_CAP:
+        raise DimOutOfRange(f"threads must be in 1..{THREAD_CAP}, got {threads}")
+
+
+def _singular_value_sum(W: Workload) -> float:
+    """Sum of sqrt Gram eigenvalues, read from the workload's spectrum cache."""
+    return float(np.sum(np.sqrt(clean_spectrum(W.gram_eigvals()))))
 
 
 def uniform_svdb_log(log_diag: float, log_off: float, n: int) -> float:
@@ -58,16 +62,15 @@ def svdb_log(W: Workload) -> float:
     """ln svdb(W); always finite even when svdb overflows float64."""
     if W.uniform is not None:
         return uniform_svdb_log(W.uniform.log_diag, W.uniform.log_off, W.n)
-    return _svdb_log_from_eigvals(np.linalg.eigvalsh(W.gram), W.n)
+    s = _singular_value_sum(W)
+    return 2.0 * math.log(s) - math.log(W.n) if s > 0 else -math.inf
 
 
 def svdb(W: Workload) -> float:
     """(sum of sqrt Gram eigenvalues)^2 / n; inf if beyond float range."""
     if W.uniform is not None:
         return to_float(svdb_log(W))
-    values = check_psd(np.linalg.eigvalsh(W.gram))
-    values[values < EIG_ZERO_REL * values.max(initial=0.0)] = 0.0
-    return float(np.sum(np.sqrt(values)) ** 2 / W.n)
+    return _singular_value_sum(W) ** 2 / W.n
 
 
 def variable_agnostic_svdb(diag: float, off: float, n: int) -> float:
@@ -128,6 +131,7 @@ def svdb_projected(W: Workload, family, threads: int | None = None):
     Returns (best value, best subset); ties resolve to the lexicographically
     smallest subset so results are independent of evaluation order.
     """
+    check_threads(threads)
     subsets = [tuple(sorted(set(int(i) for i in mu))) for mu in family]
     if not subsets:
         raise DimOutOfRange("projection family is empty")
@@ -189,15 +193,28 @@ def greedy_projected_svdb(W: Workload, restarts: int = 8, seed: int = 0):
     return to_float(best[0]), best[1]
 
 
+def _sqrt_diag_and_trace(pair: EigenPair) -> tuple:
+    """(diag(sqrt(G)), trace(sqrt(G))) from G's eigenpairs, cut off as psd_sqrt.
+
+    diag_i = sum_k v_ik^2 sqrt(lambda_k): the einsum forms no n x n matrix.
+    """
+    root = np.sqrt(clean_spectrum(pair.values))
+    diag = np.einsum("ik,k,ik->i", pair.vectors, root, pair.vectors)
+    return diag, float(np.sum(root))
+
+
+def _diag_spread(diag: np.ndarray) -> float:
+    dmax = float(diag.max(initial=0.0))
+    return float((dmax - diag.min()) / dmax) if dmax > 0 else 0.0
+
+
 def tightness_certificate(G) -> tuple:
     """(tight, diag_spread) from the diagonal of sqrt(G).
 
     The bound is achievable exactly when all diagonal entries of sqrt(Gram)
     coincide; diag_spread = (max - min) / max of that diagonal.
     """
-    d = np.diag(psd_sqrt(G))
-    dmax = float(d.max(initial=0.0))
-    spread = float((dmax - d.min()) / dmax) if dmax > 0 else 0.0
+    spread = _diag_spread(_sqrt_diag_and_trace(sym_eig(G))[0])
     return spread <= TIGHT_SPREAD_TOL, spread
 
 
@@ -207,8 +224,8 @@ def looseness_upper_bound(G, params=None) -> float:
     Equals n * d0 * P * svdb / trace(sqrt(G)) and is attained by the strategy
     whose Gram is sqrt(G); collapses to P * svdb when the certificate holds.
     """
-    R = psd_sqrt(G)
-    return p_factor_of(params) * float(np.max(np.diag(R))) * float(np.trace(R))
+    diag, trace = _sqrt_diag_and_trace(sym_eig(G))
+    return p_factor_of(params) * float(np.max(diag)) * trace
 
 
 def l1_reference(W: Workload, epsilon: float) -> tuple:
@@ -222,23 +239,63 @@ def l1_reference(W: Workload, epsilon: float) -> tuple:
 
 # --- fast path for 1-D all-ranges subrange spectra --------------------------
 
+# Newton iterations end once every step is below this fraction of its root
+_PHASE_RTOL = 1e-14
+# safeguarded Newton takes 4-13 passes; bisection alone would need about 50
+_PHASE_MAX_ITER = 100
+
+
 def range_subrange_eigvals(d: int, lo: int, hi: int) -> np.ndarray:
     """Spectrum of the 1-D all-ranges Gram restricted to cells lo..hi (1-based).
 
     The full Gram is (d+1) times the inverse of the Dirichlet second-difference
-    tridiagonal matrix, so the principal submatrix inverts a corner-modified
-    tridiagonal block: O(L^2) instead of O(L^3) per subrange.
+    tridiagonal matrix, so the principal submatrix inverts a tridiagonal T of
+    size L = hi - lo + 1 with -1 off the diagonal and 2 on it, less
+    alpha = (lo-1)/lo in the first corner and beta = (d-hi)/(d-hi+1) in the
+    last. T has eigenvalues t_k = 4 sin^2(theta_k / 2), where theta_k is the
+    root of the phase equation
+
+        (L+1) theta + psi_alpha(theta) + psi_beta(theta) = k pi,  k = 1..L,
+        psi_x(theta) = atan2(x sin(theta), 1 - x cos(theta)).
+
+    psi_x lies in [0, pi/2) with slope above -1/2, so the left side has slope
+    above L and each root is alone in [(k-1) pi/(L+1), k pi/(L+1)]: a
+    safeguarded Newton iteration on all L roots at once costs O(L).
+    alpha = beta = 0 gives the DST-I roots k pi/(L+1). Every step is symmetric
+    in alpha and beta, so the mirror range (d+1-hi, d+1-lo) has a
+    bit-identical spectrum. Eigenvalues come out in descending order.
     """
     if not (1 <= lo <= hi <= d):
         raise DimOutOfRange(f"need 1 <= lo <= hi <= d, got ({lo}, {hi}, {d})")
     L = hi - lo + 1
-    diag = np.full(L, 2.0)
-    diag[0] -= (lo - 1) / lo
-    diag[-1] -= (d - hi) / (d - hi + 1)
+    alpha = (lo - 1) / lo
+    beta = (d - hi) / (d - hi + 1)
     if L == 1:
-        return np.array([(d + 1) / diag[0]])
-    t = eigvalsh_tridiagonal(diag, np.full(L - 1, -1.0))
-    return (d + 1) / t
+        return np.array([(d + 1) / (2.0 - (alpha + beta))])
+    n = L + 1
+    target = np.arange(1, n, dtype=np.float64) * math.pi
+    a = (target - math.pi) / n  # f(a) < 0 <= f(b): the root's bracket
+    b = target / n
+    theta = b.copy()
+    a2, b2 = alpha * alpha, beta * beta
+    for _ in range(_PHASE_MAX_ITER):
+        cos, sin = np.cos(theta), np.sin(theta)
+        ac, bc = alpha * cos, beta * cos
+        f = n * theta - target
+        f += np.arctan2(alpha * sin, 1.0 - ac) + np.arctan2(beta * sin, 1.0 - bc)
+        # d psi_x / d theta = (x cos - x^2) / (1 + x^2 - 2 x cos)
+        slope = (ac - a2) / ((1.0 + a2) - 2.0 * ac) + (bc - b2) / ((1.0 + b2) - 2.0 * bc)
+        slope += n
+        np.copyto(a, theta, where=f < 0)
+        np.copyto(b, theta, where=f > 0)
+        step = theta - f / slope
+        # strict tests: a converged root may sit on its bracket's end
+        np.copyto(step, 0.5 * (a + b), where=(step < a) | (step > b))
+        done = np.max(np.abs(step - theta) / theta) <= _PHASE_RTOL
+        theta = step
+        if done:
+            break
+    return (d + 1) / (4.0 * np.sin(0.5 * theta) ** 2)
 
 
 def range_subrange_svdb(d: int, lo: int, hi: int) -> float:
@@ -252,11 +309,16 @@ def range_trim_projected_svdb(d: int, max_trim: int = 16):
 
     A documented subfamily of the full range family (the observed argmax for
     all-ranges workloads trims only a few boundary cells); its maximum is a
-    lower bound on the supreme bound. Returns (value, (lo, hi)).
+    lower bound on the supreme bound. Returns (value, (lo, hi)), the first
+    maximum in (left trim, right trim) order.
+
+    Trims (a, b) and (b, a) are mirror images with bit-identical values, and
+    a tie resolves to the one with the smaller left trim, so only b >= a is
+    evaluated.
     """
     best, arg = -math.inf, None
     for a in range(0, min(max_trim, d - 1) + 1):
-        for b in range(0, min(max_trim, d - 1 - a) + 1):
+        for b in range(a, min(max_trim, d - 1 - a) + 1):
             lo, hi = 1 + a, d - b
             v = range_subrange_svdb(d, lo, hi)
             if v > best:
@@ -302,17 +364,17 @@ def bound_report(W: Workload, projections=None, epsilon: float = 1.0,
     """Assemble the full bound report; projections is an optional family."""
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise DimOutOfRange(f"epsilon must be positive, got {epsilon}")
-    s_log = svdb_log(W)
+    check_threads(threads)
     if W.uniform is not None:
         # constant-diagonal sqrt(Gram): certificate holds with zero spread
         tight, spread, loose = True, 0.0, 1.0
     else:
-        R = psd_sqrt(W.gram)
-        d = np.diag(R)
-        dmax, tr = float(d.max(initial=0.0)), float(np.trace(R))
-        spread = float((dmax - d.min()) / dmax) if dmax > 0 else 0.0
+        # the one eigensolve: it also fills the spectrum cache svdb_log reads
+        d, tr = _sqrt_diag_and_trace(W.gram_eig())
+        spread = _diag_spread(d)
         tight = spread <= TIGHT_SPREAD_TOL
-        loose = W.n * dmax / tr if tr > 0 else 1.0
+        loose = W.n * float(d.max(initial=0.0)) / tr if tr > 0 else 1.0
+    s_log = svdb_log(W)
     projected_v, projected_mu = (None, None)
     if projections is not None:
         projected_v, projected_mu = svdb_projected(W, projections, threads=threads)

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from .bounds import (
+    THREAD_CAP,
     bound_report,
     exhaustive_projection_family,
     range_projection_family,
@@ -209,12 +210,14 @@ def _range_projected_ratio(d: int) -> float:
     """Best projected svdb over sub-ranges of one dimension, / plain svdb.
 
     Scans every contiguous range when that is cheap, otherwise the documented
-    boundary-trim subfamily (argmaxes observed trim only a few cells).
+    boundary-trim subfamily (argmaxes observed trim only a few cells). The
+    ranges (lo, hi) and (d+1-hi, d+1-lo) have the same spectrum, so the full
+    scan covers only lo + hi <= d + 1.
     """
     full = range_subrange_svdb(d, 1, d)
     if d * (d + 1) // 2 <= 10 ** 4:
         best = max(range_subrange_svdb(d, lo, hi)
-                   for lo in range(1, d + 1) for hi in range(lo, d + 1))
+                   for lo in range(1, d + 1) for hi in range(lo, d + 2 - lo))
     else:
         best, _ = range_trim_projected_svdb(d, 16)
     return max(1.0, best / full)
@@ -298,7 +301,8 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    help="none | ranges | exhaustive | csv:<path>")
     p.add_argument("--data", help="CSV data vector (defaults to zeros)")
     p.add_argument("--out", help="output path (defaults to stdout)")
-    p.add_argument("--threads", type=int, default=os.cpu_count())
+    p.add_argument("--threads", type=int, default=min(os.cpu_count() or 1, THREAD_CAP),
+                   help=f"worker threads, 1..{THREAD_CAP} (default: one per CPU)")
 
 
 def main(argv=None) -> int:

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import svdb_log
+from .bounds import check_threads, svdb_log
 from .exceptions import (
     DimensionMismatch,
     DimOutOfRange,
     ExplicitRequired,
     GramOnlyL1,
+    NonFinite,
     SupportViolation,
 )
 from .logspace import log_add, log_sub, log10_of, to_float
@@ -96,7 +97,7 @@ def _check_data(x, n: int) -> np.ndarray:
     if x.shape != (n,):
         raise DimensionMismatch(f"data vector has length {x.size}, workload needs {n}")
     if not np.all(np.isfinite(x)):
-        raise DimensionMismatch("data vector has non-finite entries")
+        raise NonFinite("data vector has non-finite entries")
     return x
 
 
@@ -286,6 +287,7 @@ def empirical_error(W: Workload, A, x, params: PrivacyParams, trials: int,
     Returns (mean, standard error) over independent trials; deterministic
     for a fixed seed regardless of thread count.
     """
+    check_threads(threads)
     trials = int(trials)
     if trials < 2:
         raise DimOutOfRange(f"need at least 2 trials, got {trials}")

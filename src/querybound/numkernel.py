@@ -59,19 +59,23 @@ def check_psd(values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
-def psd_sqrt(S) -> np.ndarray:
-    """Symmetric PSD square root R with R @ R == S.
+def clean_spectrum(values: np.ndarray) -> np.ndarray:
+    """PSD-checked copy of a spectrum with roundoff-level eigenvalues zeroed.
 
     Eigenvalues in [-1e-9 * max, 0) are treated as exact zeros, as is
     anything below the shared relative spectral cutoff: their square roots
     (~1e-8 for float64 roundoff) would otherwise dominate rank-deficient
-    traces and diagonals.
+    sums, traces and diagonals.
     """
-    values, vectors = sym_eig(S)
     values = check_psd(values)
-    top = values.max(initial=0.0)
-    values[values < EIG_ZERO_REL * top] = 0.0
-    R = (vectors * np.sqrt(values)) @ vectors.T
+    values[values < EIG_ZERO_REL * values.max(initial=0.0)] = 0.0
+    return values
+
+
+def psd_sqrt(S) -> np.ndarray:
+    """Symmetric PSD square root R with R @ R == S (cutoffs as clean_spectrum)."""
+    values, vectors = sym_eig(S)
+    R = (vectors * np.sqrt(clean_spectrum(values))) @ vectors.T
     return 0.5 * (R + R.T)
 
 

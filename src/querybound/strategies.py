@@ -65,13 +65,11 @@ def hierarchical_strategy(n: int, fanout: int = 2) -> Strategy:
         raise DimOutOfRange(f"n must be >= 1, got {n}")
     if fanout < 2:
         raise DimOutOfRange(f"fanout must be >= 2, got {fanout}")
-    rows = []
+    nodes = []
     queue = deque([(0, n)])  # breadth-first so levels come out in order
     while queue:
         lo, size = queue.popleft()
-        row = np.zeros(n)
-        row[lo:lo + size] = 1.0
-        rows.append(row)
+        nodes.append((lo, size))
         if size > 1:
             k = min(fanout, size)
             q = -(-size // k)  # ceil keeps every child <= ceil(size/fanout),
@@ -79,7 +77,9 @@ def hierarchical_strategy(n: int, fanout: int = 2) -> Strategy:
             ends = starts[1:] + [lo + size]
             for s, e in zip(starts, ends):
                 queue.append((s, e - s))
-    M = np.asarray(rows)
+    M = np.zeros((len(nodes), n))
+    for r, (lo, size) in enumerate(nodes):
+        M[r, lo:lo + size] = 1.0
     return Strategy(f"hierarchical(fanout={fanout})",
                     Workload.from_matrix(M, dedup=False))
 
@@ -93,17 +93,17 @@ def haar_strategy(n: int) -> Strategy:
     n = int(n)
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"Haar strategy needs n = 2^k, got {n}")
-    rows = [np.ones(n)]
-    block = n
+    M = np.zeros((n, n))  # the total row plus n/2 + n/4 + ... + 1 contrasts
+    M[0] = 1.0
+    r, block = 1, n
     while block > 1:
         half = block // 2
         for start in range(0, n, block):
-            row = np.zeros(n)
-            row[start:start + half] = 1.0
-            row[start + half:start + block] = -1.0
-            rows.append(row)
+            M[r, start:start + half] = 1.0
+            M[r, start + half:start + block] = -1.0
+            r += 1
         block = half
-    return Strategy("haar", Workload.from_matrix(np.asarray(rows), dedup=False))
+    return Strategy("haar", Workload.from_matrix(M, dedup=False))
 
 
 def _uniform_sqrt(W: Workload) -> Workload:

@@ -25,7 +25,7 @@ from .exceptions import (
     NotVariableAgnostic,
 )
 from .logspace import to_float
-from .numkernel import as_sym_matrix
+from .numkernel import EigenPair, as_sym_matrix, sym_eig
 
 # explicit constructors fall back to Gram form beyond these sizes
 EXPLICIT_CELL_CAP = 4096
@@ -69,6 +69,7 @@ class Workload:
         self.uniform = uniform
         self._query_count = query_count
         self.labels = labels
+        self._gram_eigvals = None
         if self.n < 1:
             raise DimOutOfRange(f"cell count must be >= 1, got {n}")
         if matrix is None and gram is None and uniform is None:
@@ -121,6 +122,32 @@ class Workload:
             G.setflags(write=False)
             self._gram = G
         return self._gram
+
+    def gram_eigvals(self) -> np.ndarray:
+        """Gram eigenvalues in ascending order, solved for once per workload.
+
+        Only values are kept: a cached n x n eigenvector matrix would double
+        the memory a dense workload holds.
+        """
+        if self._gram_eigvals is None:
+            self._keep_eigvals(np.linalg.eigvalsh(self.gram))
+        return self._gram_eigvals
+
+    def gram_eig(self) -> EigenPair:
+        """Eigenvalues and eigenvectors of the Gram (sym_eig order).
+
+        Every call solves afresh, but the first one leaves its values in the
+        cache that gram_eigvals reads.
+        """
+        pair = sym_eig(self.gram)
+        if self._gram_eigvals is None:
+            self._keep_eigvals(pair.values[::-1])
+        return pair
+
+    def _keep_eigvals(self, values):
+        values = np.ascontiguousarray(values)
+        values.setflags(write=False)
+        self._gram_eigvals = values
 
     @property
     def frob_sq_log(self) -> float:

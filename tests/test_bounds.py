@@ -16,10 +16,15 @@ from querybound import (
     column_project,
     contained_in,
     data_cube,
+    evaluate_strategy,
     exhaustive_projection_family,
     greedy_projected_svdb,
+    haar_strategy,
+    hierarchical_strategy,
+    identity_strategy,
     l1_reference,
     looseness_upper_bound,
+    psd_sqrt,
     range_gram_1d,
     range_projection_family,
     range_subrange_eigvals,
@@ -32,7 +37,7 @@ from querybound import (
     tightness_certificate,
     variable_agnostic_svdb,
 )
-from querybound.bounds import uniform_svdb_log
+from querybound.bounds import THREAD_CAP, uniform_svdb_log
 from querybound.privacy import PrivacyParams
 
 # frozen from the Faddeev-LeVerrier characteristic polynomial oracle
@@ -290,6 +295,66 @@ def test_range_subrange_fast_path_matches_dense():
         np.testing.assert_allclose(ev_fast, ev_dense, rtol=1e-9)
 
 
+def _assert_subrange_matches_dense(d, lo, hi, G):
+    fast = range_subrange_eigvals(d, lo, hi)
+    dense = np.linalg.eigvalsh(G[lo - 1:hi, lo - 1:hi])
+    np.testing.assert_allclose(np.sort(fast), dense, rtol=1e-9)
+    np.testing.assert_allclose(range_subrange_svdb(d, lo, hi),
+                               np.sum(np.sqrt(dense)) ** 2 / (hi - lo + 1),
+                               rtol=1e-10)
+
+
+def test_range_subrange_phase_equation_every_range_up_to_64():
+    # svdb is checked on the same spectra (range_subrange_svdb only sums them);
+    # of each mirror pair only the range with lo + hi <= d + 1 is solved, as the
+    # mirror test below shows the other's spectrum is bit-identical
+    for d in range(1, 65):
+        G = range_gram_1d(d)
+        for L in range(1, d + 1):  # all ranges of one length: one batched eigvalsh
+            los = range(1, (d - L + 2) // 2 + 1)
+            dense = np.linalg.eigvalsh(np.stack([G[lo - 1:lo - 1 + L, lo - 1:lo - 1 + L]
+                                                 for lo in los]))
+            fast = np.sort([range_subrange_eigvals(d, lo, lo + L - 1) for lo in los], axis=1)
+            np.testing.assert_allclose(fast, dense, rtol=1e-9)
+            np.testing.assert_allclose(np.sum(np.sqrt(fast), axis=1) ** 2 / L,
+                                       np.sum(np.sqrt(dense), axis=1) ** 2 / L, rtol=1e-10)
+
+
+def test_range_subrange_phase_equation_random_trims_at_256_and_2048():
+    rng = np.random.default_rng(47)
+    for d, count in ((256, 12), (2048, 3)):
+        G = range_gram_1d(d)
+        for _ in range(count):
+            lo = 1 + int(rng.integers(0, 17))
+            hi = d - int(rng.integers(0, 17))
+            _assert_subrange_matches_dense(d, lo, hi, G)
+        lo = int(rng.integers(1, d // 2))
+        _assert_subrange_matches_dense(d, lo, int(rng.integers(lo, d + 1)), G)
+
+
+def test_range_subrange_mirror_ranges_have_identical_spectra():
+    # the scans evaluate one range per mirror pair, relying on exact equality
+    rng = np.random.default_rng(49)
+    cases = [(2, 1, 1), (7, 1, 3), (2048, 3, 2040), (2048, 17, 2048)]
+    for d in (16, 64, 256):
+        cases += [(d, int(lo), int(rng.integers(lo, d + 1)))
+                  for lo in rng.integers(1, d + 1, 20)]
+    for d, lo, hi in cases:
+        np.testing.assert_array_equal(range_subrange_eigvals(d, lo, hi),
+                                      range_subrange_eigvals(d, d + 1 - hi, d + 1 - lo))
+
+
+def test_range_trim_scan_returns_first_maximum_in_scan_order():
+    for d, max_trim in ((1, 16), (2, 16), (3, 3), (12, 12), (33, 4), (2048, 16)):
+        best, arg = -math.inf, None
+        for a in range(0, min(max_trim, d - 1) + 1):
+            for b in range(0, min(max_trim, d - 1 - a) + 1):
+                v = range_subrange_svdb(d, 1 + a, d - b)
+                if v > best:
+                    best, arg = v, (1 + a, d - b)
+        assert range_trim_projected_svdb(d, max_trim) == (best, arg)
+
+
 def test_range_trim_scan_matches_full_scan_for_small_d():
     d = 12
     best_full = max(range_subrange_svdb(d, lo, hi)
@@ -319,3 +384,53 @@ def test_bound_report_uniform_is_log_space_and_tight():
     np.testing.assert_allclose(rep.svdb_log10, 310.6888733921551, rtol=1e-12)
     assert rep.tight and rep.diag_spread == 0.0
     np.testing.assert_allclose(rep.looseness_factor, 1.0, rtol=0)
+
+
+def test_bound_report_and_three_evaluations_solve_four_spectra(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    W = all_range([64])
+    bound_report(W)
+    for A in (identity_strategy(64), hierarchical_strategy(64, 2), haar_strategy(64)):
+        evaluate_strategy(W, A)
+    assert len(calls) == 4
+
+
+def _old_certificate(G):
+    R = psd_sqrt(G)
+    d = np.diag(R)
+    dmax, tr = float(d.max()), float(np.trace(R))
+    return (dmax - d.min()) / dmax, G.shape[0] * dmax / tr, dmax * tr
+
+
+def test_certificate_from_one_eigensolve_matches_psd_sqrt_formula():
+    rng = np.random.default_rng(48)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        rank = int(rng.integers(1, n + 1))  # rank < n gives a rank-deficient Gram
+        B = rng.standard_normal((n, rank)) * rng.uniform(0.1, 10.0, rank)
+        G = B @ B.T
+        spread, loose, upper = _old_certificate(G)
+        rep = bound_report(Workload.from_gram(G))
+        np.testing.assert_allclose(rep.diag_spread, spread, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rep.looseness_factor, loose, rtol=1e-12)
+        np.testing.assert_allclose(tightness_certificate(G)[1], spread,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(looseness_upper_bound(G), upper, rtol=1e-12)
+
+
+def test_thread_counts_beyond_the_cap_are_refused_before_any_pool():
+    W = all_range([3])
+    fam = range_projection_family([3])[:2]  # even a broken check starts <= 2 threads
+    for bad in (0, -1, THREAD_CAP + 1, 10 ** 6):
+        with pytest.raises(DimOutOfRange):
+            svdb_projected(W, fam, threads=bad)
+        with pytest.raises(DimOutOfRange):
+            bound_report(W, projections=fam, threads=bad)
+    assert svdb_projected(W, fam, threads=None) == svdb_projected(W, fam, threads=THREAD_CAP)

@@ -146,6 +146,13 @@ def test_exit_2_on_bad_specs(capsys):
     assert "DimOutOfRange" in capsys.readouterr().err
 
 
+def test_exit_2_on_thread_count_beyond_the_cap(capsys):
+    # two trials: even if the check failed, the pool could start at most two threads
+    assert cli.main(["run", "--workload", "all-range", "--cells", "2",
+                     "--trials", "2", "--threads", "1000000"]) == 2
+    assert "DimOutOfRange" in capsys.readouterr().err
+
+
 def test_exit_3_on_indefinite_gram(tmp_path, capsys):
     path = tmp_path / "g.csv"
     path.write_text("gram n=2\n1.0,2.0\n2.0,1.0\n")

@@ -9,6 +9,7 @@ from querybound import (
     ExplicitRequired,
     GaussianNoise,
     GramOnlyL1,
+    NonFinite,
     PrivacyParams,
     SupportViolation,
     Workload,
@@ -24,6 +25,7 @@ from querybound import (
     sensitivity,
     svdb,
 )
+from querybound.bounds import THREAD_CAP
 
 PARAMS = PrivacyParams(1.0, 1e-5)
 
@@ -90,6 +92,17 @@ def test_gaussian_mechanism_empirical_variance():
 def test_gaussian_mechanism_validates_data():
     with pytest.raises(DimensionMismatch):
         gaussian_mechanism(all_range([3]), [1.0, 2.0], PARAMS, ZeroNoise())
+
+
+def test_mechanisms_refuse_non_finite_data():
+    W = all_range([3])
+    for bad in ([1.0, math.nan, 2.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(NonFinite):
+            gaussian_mechanism(W, bad, PARAMS, ZeroNoise())
+        with pytest.raises(NonFinite):
+            matrix_mechanism(W, np.eye(3), bad, PARAMS, ZeroNoise())
+        with pytest.raises(NonFinite):
+            empirical_error(W, np.eye(3), bad, PARAMS, 2)
 
 
 def test_matrix_mechanism_with_self_strategy_matches_gaussian():
@@ -266,6 +279,13 @@ def test_empirical_error_deterministic_and_thread_invariant():
     assert one == two == four
     other = empirical_error(W, np.eye(2), [1.0, 2.0], PARAMS, 500, seed=4)
     assert one != other
+
+
+def test_empirical_error_refuses_thread_counts_beyond_the_cap():
+    W = all_range([2])
+    for bad in (0, THREAD_CAP + 1, 10 ** 6):  # two trials: a broken check starts <= 2 threads
+        with pytest.raises(DimOutOfRange):
+            empirical_error(W, np.eye(2), [0.0, 0.0], PARAMS, 2, threads=bad)
 
 
 def test_empirical_error_tracks_analytic():
