@@ -10,7 +10,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, ExplicitRequired, NotPredicate
 from .logspace import log_add
-from .workloads import EXPLICIT_ENTRY_CAP, Workload
+from .workloads import EXPLICIT_ENTRY_CAP, Workload, check_gram_cells
 
 
 def _count_sum(W1: Workload, W2: Workload):
@@ -60,6 +60,7 @@ def crossproduct(W1: Workload, W2: Workload) -> Workload:
         rows = W1.matrix.shape[0] * W2.matrix.shape[0]
         if rows * n <= EXPLICIT_ENTRY_CAP:
             return Workload.from_matrix(np.kron(W1.matrix, W2.matrix), dedup=False)
+    check_gram_cells(n)
     return Workload.from_gram(np.kron(W1.gram, W2.gram),
                               query_count=_count_prod(W1, W2))
 
@@ -79,6 +80,7 @@ def conjunction(W1: Workload, W2: Workload) -> Workload:
     M2 = _require_predicate(W2, "right")
     n = W1.n * W2.n
     if M1.shape[0] * M2.shape[0] * n > EXPLICIT_ENTRY_CAP:
+        check_gram_cells(n)
         return Workload.from_gram(np.kron(W1.gram, W2.gram),
                                   query_count=_count_prod(W1, W2))
     return Workload.from_matrix(np.kron(M1, M2), dedup=False)

@@ -10,7 +10,6 @@ achieves the bound, and the looseness factor bounds the gap when it does not.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .exceptions import (
     NotVariableAgnostic,
     SubsetTooLarge,
 )
-from .logspace import log_add, log_sub, log10_of, to_float
+from .logspace import json_num, log_add, log_sub, log10_of, to_float
 from .numkernel import EigenPair, clean_spectrum, sym_eig
 from .privacy import p_factor_of
 from .workloads import Workload, check_subset, column_project
@@ -29,14 +28,6 @@ from .workloads import Workload, check_subset, column_project
 RANGE_FAMILY_CAP = 10 ** 6
 EXHAUSTIVE_CELL_CAP = 20
 TIGHT_SPREAD_TOL = 1e-8
-# worker threads a caller may ask for; beyond this a pool only adds overhead
-THREAD_CAP = 64
-
-
-def check_threads(threads):
-    """Validate a worker-thread count before any pool exists; None is serial."""
-    if threads is not None and not 1 <= threads <= THREAD_CAP:
-        raise DimOutOfRange(f"threads must be in 1..{THREAD_CAP}, got {threads}")
 
 
 def _singular_value_sum(W: Workload) -> float:
@@ -77,16 +68,16 @@ def variable_agnostic_svdb(diag: float, off: float, n: int) -> float:
     """Closed-form svdb for a Gram with constant diagonal and off-diagonal.
 
     Valid for any n >= 1 (the eigenstructure argument needs no power of two):
-    (1/n) * (sqrt(diag + (n-1) off) + (n-1) sqrt(diag - off))^2.
+    (1/n) * (sqrt(diag + (n-1) off) + (n-1) sqrt(diag - off))^2, evaluated
+    by uniform_svdb_log.
     """
     n = int(n)
     if n < 1:
         raise DimOutOfRange(f"n must be >= 1, got {n}")
     if not (diag > off >= 0) or not math.isfinite(diag):
         raise NotVariableAgnostic(f"need diag > off >= 0, got diag={diag}, off={off}")
-    # factored form stays finite until the final product
-    q = math.sqrt(1.0 + n * off / (diag - off))
-    return (diag - off) * (q + n - 1) ** 2 / n
+    log_off = math.log(off) if off > 0 else -math.inf
+    return to_float(uniform_svdb_log(math.log(diag), log_off, n))
 
 
 def range_projection_family(dims) -> list:
@@ -121,17 +112,12 @@ def exhaustive_projection_family(n: int) -> list:
     return family
 
 
-def _projected_svdb_log_one(W: Workload, subset) -> float:
-    return svdb_log(column_project(W, subset))
-
-
-def svdb_projected(W: Workload, family, threads: int | None = None):
+def svdb_projected(W: Workload, family):
     """Max of svdb over the column projections in family.
 
     Returns (best value, best subset); ties resolve to the lexicographically
     smallest subset so results are independent of evaluation order.
     """
-    check_threads(threads)
     subsets = [tuple(sorted(set(int(i) for i in mu))) for mu in family]
     if not subsets:
         raise DimOutOfRange("projection family is empty")
@@ -145,11 +131,8 @@ def svdb_projected(W: Workload, family, threads: int | None = None):
             if k not in by_size:
                 by_size[k] = uniform_svdb_log(W.uniform.log_diag, W.uniform.log_off, k)
         logs = [by_size[len(mu)] for mu in subsets]
-    elif threads and threads > 1 and len(subsets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            logs = list(pool.map(lambda mu: _projected_svdb_log_one(W, mu), subsets))
     else:
-        logs = [_projected_svdb_log_one(W, mu) for mu in subsets]
+        logs = [svdb_log(column_project(W, mu)) for mu in subsets]
     best_log, best_mu = logs[0], subsets[0]
     for l, mu in zip(logs[1:], subsets[1:]):
         if l > best_log or (l == best_log and mu < best_mu):
@@ -343,28 +326,23 @@ class BoundReport:
     l1_geometric: float
 
     def to_json_dict(self) -> dict:
-        def num(v):
-            return None if v is None or not math.isfinite(v) else float(v)
-
         return {
-            "svdb": num(self.svdb),
-            "svdb_log10": num(self.svdb_log10),
-            "projected_svdb": num(self.projected_svdb) if self.projected_svdb is not None else None,
+            "svdb": json_num(self.svdb),
+            "svdb_log10": json_num(self.svdb_log10),
+            "projected_svdb": json_num(self.projected_svdb),
             "projected_subset": list(self.projected_subset) if self.projected_subset is not None else None,
             "tight": bool(self.tight),
-            "diag_spread": num(self.diag_spread),
-            "looseness_factor": num(self.looseness_factor),
-            "l1_svdb": num(self.l1_svdb),
-            "l1_geometric": num(self.l1_geometric),
+            "diag_spread": json_num(self.diag_spread),
+            "looseness_factor": json_num(self.looseness_factor),
+            "l1_svdb": json_num(self.l1_svdb),
+            "l1_geometric": json_num(self.l1_geometric),
         }
 
 
-def bound_report(W: Workload, projections=None, epsilon: float = 1.0,
-                 threads: int | None = None) -> BoundReport:
+def bound_report(W: Workload, projections=None, epsilon: float = 1.0) -> BoundReport:
     """Assemble the full bound report; projections is an optional family."""
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise DimOutOfRange(f"epsilon must be positive, got {epsilon}")
-    check_threads(threads)
     if W.uniform is not None:
         # constant-diagonal sqrt(Gram): certificate holds with zero spread
         tight, spread, loose = True, 0.0, 1.0
@@ -377,7 +355,7 @@ def bound_report(W: Workload, projections=None, epsilon: float = 1.0,
     s_log = svdb_log(W)
     projected_v, projected_mu = (None, None)
     if projections is not None:
-        projected_v, projected_mu = svdb_projected(W, projections, threads=threads)
+        projected_v, projected_mu = svdb_projected(W, projections)
     return BoundReport(
         svdb=to_float(s_log),
         svdb_log10=log10_of(s_log),

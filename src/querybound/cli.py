@@ -5,13 +5,11 @@ files (JSON/CSV) with deterministic output for fixed flags and seed."""
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .bounds import (
-    THREAD_CAP,
     bound_report,
     exhaustive_projection_family,
     range_projection_family,
@@ -27,7 +25,7 @@ from .exceptions import (
     QueryBoundError,
     SupportViolation,
 )
-from .logspace import fmt_log10
+from .logspace import fmt_log10, json_num
 from .mechanism import empirical_error
 from .privacy import PrivacyParams
 from .strategies import (
@@ -52,6 +50,8 @@ from .workloads import (
 )
 
 NOT_IMPLEMENTED_EIGEN = "not implemented: external mechanism"
+# --threads is accepted in 1..THREAD_CAP for compatibility; every request runs serially
+THREAD_CAP = 64
 
 
 def _parse_ints(text: str) -> list:
@@ -162,8 +162,7 @@ def _emit_json(obj: dict, out):
 def cmd_bound(args) -> int:
     W, dims = build_workload(args)
     family = build_projections(args, W, dims)
-    rep = bound_report(W, projections=family, epsilon=args.epsilon,
-                       threads=args.threads)
+    rep = bound_report(W, projections=family, epsilon=args.epsilon)
     _emit_json(rep.to_json_dict(), args.out)
     print(f"svdb={fmt_log10(rep.svdb_log10)} tight={str(rep.tight).lower()} "
           f"looseness={rep.looseness_factor:.6g}", file=sys.stderr)
@@ -186,19 +185,14 @@ def cmd_run(args) -> int:
     A = build_strategy(args, W, dims)
     x = load_data_vector(args.data) if args.data else np.zeros(W.n)
     params = PrivacyParams(args.epsilon, args.delta)
-    mean, se = empirical_error(W, A.workload, x, params, args.trials,
-                               seed=args.seed, threads=args.threads)
+    mean, se = empirical_error(W, A.workload, x, params, args.trials, seed=args.seed)
     analytic = evaluate_strategy(W, A, params).total_error
     z = (mean - analytic) / se if se > 0 else 0.0
-
-    def num(v):
-        return None if not math.isfinite(v) else float(v)
-
     _emit_json({
-        "mean": num(mean),
-        "stderr": num(se),
-        "analytic": num(analytic),
-        "z": num(z),
+        "mean": json_num(mean),
+        "stderr": json_num(se),
+        "analytic": json_num(analytic),
+        "z": json_num(z),
         "trials": int(args.trials),
         "seed": int(args.seed),
     }, args.out)
@@ -209,17 +203,13 @@ def cmd_run(args) -> int:
 def _range_projected_ratio(d: int) -> float:
     """Best projected svdb over sub-ranges of one dimension, / plain svdb.
 
-    Scans every contiguous range when that is cheap, otherwise the documented
-    boundary-trim subfamily (argmaxes observed trim only a few cells). The
-    ranges (lo, hi) and (d+1-hi, d+1-lo) have the same spectrum, so the full
-    scan covers only lo + hi <= d + 1.
+    Scans every contiguous range (trims up to d - 1 cells per side) when that
+    is cheap, otherwise the documented boundary-trim subfamily (argmaxes
+    observed trim only a few cells).
     """
     full = range_subrange_svdb(d, 1, d)
-    if d * (d + 1) // 2 <= 10 ** 4:
-        best = max(range_subrange_svdb(d, lo, hi)
-                   for lo in range(1, d + 1) for hi in range(lo, d + 2 - lo))
-    else:
-        best, _ = range_trim_projected_svdb(d, 16)
+    max_trim = d - 1 if d * (d + 1) // 2 <= 10 ** 4 else 16
+    best, _ = range_trim_projected_svdb(d, max_trim)
     return max(1.0, best / full)
 
 
@@ -301,8 +291,9 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    help="none | ranges | exhaustive | csv:<path>")
     p.add_argument("--data", help="CSV data vector (defaults to zeros)")
     p.add_argument("--out", help="output path (defaults to stdout)")
-    p.add_argument("--threads", type=int, default=min(os.cpu_count() or 1, THREAD_CAP),
-                   help=f"worker threads, 1..{THREAD_CAP} (default: one per CPU)")
+    p.add_argument("--threads", type=int, default=1,
+                   help=f"accepted for compatibility, 1..{THREAD_CAP}; no effect "
+                        "(requests run serially)")
 
 
 def main(argv=None) -> int:
@@ -321,6 +312,8 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.threads <= THREAD_CAP:
+            raise DimOutOfRange(f"threads must be in 1..{THREAD_CAP}, got {args.threads}")
         return args.fn(args)
     except SupportViolation as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -55,3 +55,8 @@ def fmt_log10(l10: float, sig: int = 6) -> str:
         mant /= 10.0
         exp10 += 1
     return f"{mant:.{sig - 1}f}e{exp10:+03d}"
+
+
+def json_num(v):
+    """A float for JSON output; None for a missing or non-finite value."""
+    return None if v is None or not math.isfinite(v) else float(v)

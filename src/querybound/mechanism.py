@@ -8,12 +8,11 @@ workloads far outside float range, and validates by Monte-Carlo.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import check_threads, svdb_log
+from .bounds import svdb_log
 from .exceptions import (
     DimensionMismatch,
     DimOutOfRange,
@@ -22,8 +21,8 @@ from .exceptions import (
     NonFinite,
     SupportViolation,
 )
-from .logspace import log_add, log_sub, log10_of, to_float
-from .numkernel import EIG_ZERO_REL, sym_eig
+from .logspace import json_num, log_add, log_sub, log10_of, to_float
+from .numkernel import EIG_ZERO_REL, pinv_trace_and_residual, pseudoinverse
 from .privacy import PrivacyParams, p_factor_of
 from .workloads import Workload
 
@@ -35,7 +34,7 @@ class GaussianNoise:
     """Deterministic stream of standard normals, splittable by trial index.
 
     Each trial draws from an independent child stream derived from (seed,
-    trial), so concurrent trials reproduce the serial results exactly.
+    trial), so any trial can be reproduced on its own.
     """
 
     def __init__(self, seed: int = 0):
@@ -118,8 +117,7 @@ def _recovery_matrix(W: Workload, A: Workload) -> np.ndarray:
         raise ExplicitRequired("matrix mechanism needs explicit workload and strategy")
     if A.n != W.n:
         raise DimensionMismatch(f"strategy covers {A.n} cells, workload {W.n}")
-    pinv = np.linalg.pinv(A.matrix, rcond=1e-12)
-    WA = W.matrix @ pinv
+    WA = W.matrix @ pseudoinverse(A.matrix)
     w_norm = float(np.linalg.norm(W.matrix))
     resid = float(np.linalg.norm(WA @ A.matrix - W.matrix))
     if resid > SUPPORT_TOL_MATRIX * max(w_norm, 1e-300):
@@ -153,31 +151,15 @@ class StrategyErrorReport:
     ratio_to_svdb: float
 
     def to_json_dict(self) -> dict:
-        def num(v):
-            return None if v is None or not math.isfinite(v) else float(v)
-
         return {
-            "sensitivity_l2": num(self.sensitivity_l2),
-            "sensitivity_l1": num(self.sensitivity_l1) if self.sensitivity_l1 is not None else None,
-            "p_factor": num(self.p_factor),
-            "total_error": num(self.total_error),
-            "total_error_log10": num(self.total_error_log10),
-            "support_residual": num(self.support_residual),
-            "ratio_to_svdb": num(self.ratio_to_svdb),
+            "sensitivity_l2": json_num(self.sensitivity_l2),
+            "sensitivity_l1": json_num(self.sensitivity_l1),
+            "p_factor": json_num(self.p_factor),
+            "total_error": json_num(self.total_error),
+            "total_error_log10": json_num(self.total_error_log10),
+            "support_residual": json_num(self.support_residual),
+            "ratio_to_svdb": json_num(self.ratio_to_svdb),
         }
-
-
-def _concrete_trace_and_residual(G_W: np.ndarray, G_A: np.ndarray):
-    """(trace(G_W pinv(G_A)), relative trace residual off A's row space)."""
-    values, vectors = sym_eig(G_A)
-    top = values[0] if values.size else 0.0
-    kept = values > EIG_ZERO_REL * max(top, 0.0)
-    quads = np.einsum("ij,ij->j", vectors, G_W @ vectors)  # v_k' G_W v_k
-    covered = float(np.sum(quads[kept]))
-    total = float(np.trace(G_W))
-    resid = max(0.0, total - covered) / total if total > 0 else 0.0
-    trace = float(np.sum(quads[kept] / values[kept])) if kept.any() else 0.0
-    return trace, resid
 
 
 def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
@@ -194,10 +176,12 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
     p = p_factor_of(params)
     log_p = math.log(p)
     log_sens_sq = _sens_sq_log(A)
+    # read before A.gram_eig(), which would fill the spectrum cache when A is W
+    log_svdb = svdb_log(W)
     n = W.n
 
     if W.uniform is None and A.uniform is None:
-        trace, resid = _concrete_trace_and_residual(W.gram, A.gram)
+        trace, resid = pinv_trace_and_residual(W.gram, A.gram_eig())
         if resid > SUPPORT_TOL_GRAM:
             raise SupportViolation(
                 f"strategy does not support workload: trace residual {resid:.3e} "
@@ -205,7 +189,7 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
         log_err = log_p + log_sens_sq + (math.log(trace) if trace > 0 else -math.inf)
     elif W.uniform is not None and A.uniform is None:
         la, lb = W.uniform.log_diag, W.uniform.log_off
-        values, vectors = sym_eig(A.gram)
+        values, vectors = A.gram_eig()
         top = values[0] if values.size else 0.0
         kept = values > EIG_ZERO_REL * max(top, 0.0)
         if int(kept.sum()) < n:
@@ -242,7 +226,7 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
                 - log_add(lgd, math.log(n - 1) + lgo)
             log_err = log_p + lgd + log_add(term1, term2)
 
-    ratio = math.exp(log_err - log_p - svdb_log(W)) if log_err != -math.inf else 0.0
+    ratio = math.exp(log_err - log_p - log_svdb) if log_err != -math.inf else 0.0
     return StrategyErrorReport(
         sensitivity_l2=to_float(0.5 * log_sens_sq),
         sensitivity_l1=sensitivity(A, "l1") if A.is_explicit else None,
@@ -274,20 +258,13 @@ def equalize_columns(A) -> Workload:
     return Workload.from_matrix(np.vstack([M] + extra), dedup=False)
 
 
-def _trial_sq_error(B: np.ndarray, noise, trial: int) -> float:
-    z = np.asarray(noise.sample(B.shape[1], trial), dtype=float)
-    e = B @ z
-    return float(e @ e)
-
-
 def empirical_error(W: Workload, A, x, params: PrivacyParams, trials: int,
-                    seed: int = 0, noise=None, threads: int | None = None):
+                    seed: int = 0, noise=None):
     """Monte-Carlo total squared error of the strategy mechanism.
 
-    Returns (mean, standard error) over independent trials; deterministic
-    for a fixed seed regardless of thread count.
+    Returns (mean, standard error) over independent trials, run serially;
+    deterministic for a fixed seed.
     """
-    check_threads(threads)
     trials = int(trials)
     if trials < 2:
         raise DimOutOfRange(f"need at least 2 trials, got {trials}")
@@ -298,12 +275,9 @@ def empirical_error(W: Workload, A, x, params: PrivacyParams, trials: int,
     B = sigma * WA
     if noise is None:
         noise = GaussianNoise(seed)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errs = list(pool.map(lambda t: _trial_sq_error(B, noise, t),
-                                 range(trials)))
-    else:
-        errs = [_trial_sq_error(B, noise, t) for t in range(trials)]
-    errs = np.asarray(errs)
+    errs = np.empty(trials)
+    for t in range(trials):
+        e = B @ np.asarray(noise.sample(B.shape[1], t), dtype=float)
+        errs[t] = e @ e
     mean = float(errs.mean())
     return mean, float(errs.std(ddof=1) / math.sqrt(trials))

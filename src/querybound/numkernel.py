@@ -24,6 +24,12 @@ class EigenPair(NamedTuple):
     values: np.ndarray
     vectors: np.ndarray
 
+    @classmethod
+    def of_symmetric(cls, S: np.ndarray) -> "EigenPair":
+        """eigh of a matrix already known to be symmetric, reordered descending."""
+        values, vectors = np.linalg.eigh(S)
+        return cls(values[::-1].copy(), vectors[:, ::-1].copy())
+
 
 def as_sym_matrix(S, tol: float = SYM_TOL) -> np.ndarray:
     """Validate a square symmetric finite matrix and return it symmetrized.
@@ -45,9 +51,7 @@ def as_sym_matrix(S, tol: float = SYM_TOL) -> np.ndarray:
 
 def sym_eig(S) -> EigenPair:
     """Full spectrum of a symmetric matrix, eigenvalues sorted descending."""
-    S = as_sym_matrix(S)
-    values, vectors = np.linalg.eigh(S)
-    return EigenPair(values[::-1].copy(), vectors[:, ::-1].copy())
+    return EigenPair.of_symmetric(as_sym_matrix(S))
 
 
 def check_psd(values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
@@ -87,6 +91,24 @@ def pseudoinverse(A) -> np.ndarray:
     return np.linalg.pinv(A, rcond=EIG_ZERO_REL)
 
 
+def pinv_trace_and_residual(G_W: np.ndarray, pair: EigenPair) -> tuple:
+    """(trace(G_W pinv(G_A)), relative trace residual of G_W off G_A's range).
+
+    pair holds G_A's eigenpairs in sym_eig order; G_A must be PSD (NotPSD
+    otherwise). Only eigenvalues above the relative cutoff are inverted. The
+    residual is the share of trace(G_W) outside the kept eigenvectors' span:
+    the caller compares it with its support tolerance.
+    """
+    values = check_psd(pair.values)
+    kept = values > EIG_ZERO_REL * values.max(initial=0.0)
+    quads = np.einsum("ij,ij->j", pair.vectors, G_W @ pair.vectors)  # v_k' G_W v_k
+    covered = float(np.sum(quads[kept]))
+    total = float(np.trace(G_W))
+    resid = max(0.0, total - covered) / total if total > 0 else 0.0
+    trace = float(np.sum(quads[kept] / values[kept])) if kept.any() else 0.0
+    return trace, resid
+
+
 def pinv_trace(G_W, G_A) -> float:
     """trace(G_W @ pinv(G_A)) for PSD Grams, the unit-noise error kernel.
 
@@ -94,14 +116,8 @@ def pinv_trace(G_W, G_A) -> float:
     is responsible for the support condition (see mechanism.analytic_total_error).
     """
     G_W = as_sym_matrix(G_W)
-    values, vectors = sym_eig(G_A)
-    if G_W.shape != vectors.shape:
-        raise DimensionMismatch(f"Gram shapes differ: {G_W.shape} vs {vectors.shape}")
+    pair = sym_eig(G_A)
+    if G_W.shape != pair.vectors.shape:
+        raise DimensionMismatch(f"Gram shapes differ: {G_W.shape} vs {pair.vectors.shape}")
     check_psd(sym_eig(G_W).values)
-    values = check_psd(values)
-    keep = values > EIG_ZERO_REL * values.max(initial=0.0)
-    if not np.any(keep):
-        return 0.0
-    V = vectors[:, keep]
-    quad = np.sum(V * (G_W @ V), axis=0)  # v_k' G_W v_k per kept eigenvector
-    return float(np.sum(quad / values[keep]))
+    return pinv_trace_and_residual(G_W, pair)[0]

@@ -17,7 +17,13 @@ from .exceptions import DimOutOfRange, ExplicitRequired, NotPowerOfTwo
 from .logspace import log_add, log_sub
 from .mechanism import StrategyErrorReport, analytic_total_error
 from .numkernel import as_sym_matrix, psd_sqrt
-from .workloads import EXPLICIT_ENTRY_CAP, Workload, _read_matrix_csv, _write_matrix_csv
+from .workloads import (
+    EXPLICIT_ENTRY_CAP,
+    Workload,
+    _read_matrix_csv,
+    _write_matrix_csv,
+    check_gram_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,7 @@ def kron_strategy(parts) -> Strategy:
             for p in parts[1:]:
                 M = np.kron(M, p.matrix)
             return Strategy(kinds, Workload.from_matrix(M, dedup=False))
+    check_gram_cells(math.prod(p.n for p in parts))
     G = parts[0].workload.gram
     for p in parts[1:]:
         G = np.kron(G, p.workload.gram)

@@ -25,11 +25,13 @@ from .exceptions import (
     NotVariableAgnostic,
 )
 from .logspace import to_float
-from .numkernel import EigenPair, as_sym_matrix, sym_eig
+from .numkernel import EigenPair, as_sym_matrix
 
 # explicit constructors fall back to Gram form beyond these sizes
 EXPLICIT_CELL_CAP = 4096
 EXPLICIT_ENTRY_CAP = 10 ** 7
+# dense Grams beyond this many cells (512 MiB of float64 each) are refused
+GRAM_CELL_CAP = 8192
 
 # largest materializable Gram entry before closed forms take over
 _ENTRY_LIMIT = 1e300
@@ -52,6 +54,7 @@ class UniformGram:
     def materialize(self, n: int) -> np.ndarray:
         if not self.materializable():
             raise NonFinite("Gram entries exceed float64 range; use log-space paths")
+        check_gram_cells(n)
         diag, off = to_float(self.log_diag), to_float(self.log_off)
         G = np.full((n, n), off)
         np.fill_diagonal(G, diag)
@@ -115,6 +118,7 @@ class Workload:
         """Concrete n x n Gram; materializes uniform forms when finite."""
         if self._gram is None:
             if self.matrix is not None:
+                check_gram_cells(self.n)
                 G = self.matrix.T @ self.matrix
                 G = 0.5 * (G + G.T)
             else:
@@ -137,9 +141,10 @@ class Workload:
         """Eigenvalues and eigenvectors of the Gram (sym_eig order).
 
         Every call solves afresh, but the first one leaves its values in the
-        cache that gram_eigvals reads.
+        cache that gram_eigvals reads. The Gram is not validated again: every
+        constructor symmetrizes it where it is formed or loaded.
         """
-        pair = sym_eig(self.gram)
+        pair = EigenPair.of_symmetric(self.gram)
         if self._gram_eigvals is None:
             self._keep_eigvals(pair.values[::-1])
         return pair
@@ -179,6 +184,13 @@ def range_gram_1d(d: int) -> np.ndarray:
     return np.minimum.outer(i, i) * (d + 1 - np.maximum.outer(i, i))
 
 
+def check_gram_cells(n: int):
+    """Refuse a dense n x n Gram beyond GRAM_CELL_CAP before it is allocated."""
+    if n > GRAM_CELL_CAP:
+        raise DimOutOfRange(
+            f"a dense Gram on {n} cells exceeds the cap of {GRAM_CELL_CAP} cells")
+
+
 def _check_dims(dims):
     dims = [int(d) for d in dims]
     if not dims:
@@ -201,6 +213,7 @@ def all_range(dims) -> Workload:
     if n <= EXPLICIT_CELL_CAP and m * n <= EXPLICIT_ENTRY_CAP:
         M = reduce(np.kron, [_range_rows_1d(d) for d in dims])
         return Workload.from_matrix(M, dedup=False)
+    check_gram_cells(n)
     G = reduce(np.kron, [range_gram_1d(d) for d in dims])
     return Workload.from_gram(G, query_count=m)
 
@@ -253,6 +266,7 @@ def data_cube(dims, cuboids, weights) -> Workload:
                      for a, d in enumerate(dims)]
             blocks.append(w * reduce(np.kron, parts))
         return Workload.from_matrix(np.vstack(blocks))
+    check_gram_cells(n)
     G = np.zeros((n, n))
     for c, w in zip(cuboids, weights):
         parts = [np.eye(d) if (a + 1) in c else np.ones((d, d))

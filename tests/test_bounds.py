@@ -37,7 +37,8 @@ from querybound import (
     tightness_certificate,
     variable_agnostic_svdb,
 )
-from querybound.bounds import THREAD_CAP, uniform_svdb_log
+from querybound import numkernel, strategies, workloads
+from querybound.bounds import uniform_svdb_log
 from querybound.privacy import PrivacyParams
 
 # frozen from the Faddeev-LeVerrier characteristic polynomial oracle
@@ -171,14 +172,6 @@ def test_svdb_projected_tie_break_is_lexicographic():
     v, mu = svdb_projected(W, [(4,), (2,), (3,)])
     np.testing.assert_allclose(v, 1.0, rtol=0)
     assert mu == (2,)
-
-
-def test_svdb_projected_threads_do_not_change_result():
-    W = all_range([6])
-    fam = range_projection_family([6])
-    serial = svdb_projected(W, fam, threads=1)
-    parallel = svdb_projected(W, fam, threads=4)
-    assert serial == parallel
 
 
 def test_svdb_projected_uniform_scans_by_size():
@@ -356,12 +349,13 @@ def test_range_trim_scan_returns_first_maximum_in_scan_order():
 
 
 def test_range_trim_scan_matches_full_scan_for_small_d():
-    d = 12
-    best_full = max(range_subrange_svdb(d, lo, hi)
-                    for lo in range(1, d + 1) for hi in range(lo, d + 1))
-    best_trim, (lo, hi) = range_trim_projected_svdb(d, max_trim=d)
-    np.testing.assert_allclose(best_trim, best_full, rtol=1e-12)
-    assert 1 <= lo <= hi <= d
+    # max_trim = d - 1 covers every range: the CLI's full scan for small d
+    for d in (1, 2, 12, 64):
+        best_full = max(range_subrange_svdb(d, lo, hi)
+                        for lo in range(1, d + 1) for hi in range(lo, d + 1))
+        best_trim, (lo, hi) = range_trim_projected_svdb(d, max_trim=d - 1)
+        assert best_trim == best_full
+        assert 1 <= lo <= hi <= d
 
 
 def test_bound_report_json_fields():
@@ -395,11 +389,21 @@ def test_bound_report_and_three_evaluations_solve_four_spectra(monkeypatch):
             calls.append((_name, np.shape(a)))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    # a workload's own Gram is symmetrized where it is formed: never re-validated
+    validated = []
+    real_check = numkernel.as_sym_matrix
+
+    def counted_check(S, *args, **kwargs):
+        validated.append(np.shape(S))
+        return real_check(S, *args, **kwargs)
+    for module in (numkernel, workloads, strategies):
+        monkeypatch.setattr(module, "as_sym_matrix", counted_check)
     W = all_range([64])
     bound_report(W)
     for A in (identity_strategy(64), hierarchical_strategy(64, 2), haar_strategy(64)):
         evaluate_strategy(W, A)
     assert len(calls) == 4
+    assert validated == []
 
 
 def _old_certificate(G):
@@ -423,14 +427,3 @@ def test_certificate_from_one_eigensolve_matches_psd_sqrt_formula():
         np.testing.assert_allclose(tightness_certificate(G)[1], spread,
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(looseness_upper_bound(G), upper, rtol=1e-12)
-
-
-def test_thread_counts_beyond_the_cap_are_refused_before_any_pool():
-    W = all_range([3])
-    fam = range_projection_family([3])[:2]  # even a broken check starts <= 2 threads
-    for bad in (0, -1, THREAD_CAP + 1, 10 ** 6):
-        with pytest.raises(DimOutOfRange):
-            svdb_projected(W, fam, threads=bad)
-        with pytest.raises(DimOutOfRange):
-            bound_report(W, projections=fam, threads=bad)
-    assert svdb_projected(W, fam, threads=None) == svdb_projected(W, fam, threads=THREAD_CAP)

@@ -10,6 +10,7 @@ from querybound import (
     GaussianNoise,
     GramOnlyL1,
     NonFinite,
+    NotPSD,
     PrivacyParams,
     SupportViolation,
     Workload,
@@ -25,8 +26,6 @@ from querybound import (
     sensitivity,
     svdb,
 )
-from querybound.bounds import THREAD_CAP
-
 PARAMS = PrivacyParams(1.0, 1e-5)
 
 # a mixed query set over eight cells: one total, two half-sums, two pair
@@ -185,6 +184,13 @@ def test_analytic_error_support_violation():
                              np.array([[1.0, 1.0]]))
 
 
+def test_analytic_error_refuses_an_indefinite_gram_only_strategy():
+    # the negative direction must not be dropped as if it were a rank deficit
+    with pytest.raises(NotPSD):
+        analytic_total_error(Workload.from_matrix(np.eye(2)),
+                             Workload.from_gram(np.diag([1.0, -1.0])))
+
+
 def test_analytic_error_uniform_workload_concrete_strategy():
     # the log-space path for huge uniform workloads must agree with the
     # concrete path at the boundary size where both are computable
@@ -274,18 +280,9 @@ def test_empirical_error_deterministic_and_thread_invariant():
     W = all_range([2])
     one = empirical_error(W, np.eye(2), [1.0, 2.0], PARAMS, 500, seed=3)
     two = empirical_error(W, np.eye(2), [1.0, 2.0], PARAMS, 500, seed=3)
-    four = empirical_error(W, np.eye(2), [1.0, 2.0], PARAMS, 500, seed=3,
-                           threads=4)
-    assert one == two == four
+    assert one == two
     other = empirical_error(W, np.eye(2), [1.0, 2.0], PARAMS, 500, seed=4)
     assert one != other
-
-
-def test_empirical_error_refuses_thread_counts_beyond_the_cap():
-    W = all_range([2])
-    for bad in (0, THREAD_CAP + 1, 10 ** 6):  # two trials: a broken check starts <= 2 threads
-        with pytest.raises(DimOutOfRange):
-            empirical_error(W, np.eye(2), [0.0, 0.0], PARAMS, 2, threads=bad)
 
 
 def test_empirical_error_tracks_analytic():
