@@ -10,19 +10,13 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, ExplicitRequired, NotPredicate
 from .logspace import log_add
-from .workloads import EXPLICIT_ENTRY_CAP, Workload, check_gram_cells
+from .workloads import Workload, kron_product
 
 
 def _count_sum(W1: Workload, W2: Workload):
     if W1.query_count is None or W2.query_count is None:
         return None
     return W1.query_count + W2.query_count
-
-
-def _count_prod(W1: Workload, W2: Workload):
-    if W1.query_count is None or W2.query_count is None:
-        return None
-    return W1.query_count * W2.query_count
 
 
 def stack(W1: Workload, W2: Workload) -> Workload:
@@ -52,35 +46,20 @@ def union(W1: Workload, W2: Workload) -> Workload:
 def crossproduct(W1: Workload, W2: Workload) -> Workload:
     """Queries w1_i * w2_j over the product domain, row-major on both axes.
 
-    The Gram is the Kronecker product of the factor Grams; the explicit form
-    falls back to that Gram when it would exceed the in-memory entry cap.
+    The Gram is the Kronecker product of the factor Grams (see kron_product).
     """
-    n = W1.n * W2.n
-    if W1.is_explicit and W2.is_explicit:
-        rows = W1.matrix.shape[0] * W2.matrix.shape[0]
-        if rows * n <= EXPLICIT_ENTRY_CAP:
-            return Workload.from_matrix(np.kron(W1.matrix, W2.matrix), dedup=False)
-    check_gram_cells(n)
-    return Workload.from_gram(np.kron(W1.gram, W2.gram),
-                              query_count=_count_prod(W1, W2))
+    return kron_product([W1, W2])
 
 
-def _require_predicate(W: Workload, side: str) -> np.ndarray:
+def _require_predicate(W: Workload, side: str):
     if not W.is_explicit:
         raise ExplicitRequired(f"conjunction needs explicit rows for the {side} workload")
-    M = W.matrix
-    if not np.isin(M, (0.0, 1.0)).all():
+    if not np.isin(W.matrix, (0.0, 1.0)).all():
         raise NotPredicate(f"{side} workload has entries outside {{0, 1}}")
-    return M
 
 
 def conjunction(W1: Workload, W2: Workload) -> Workload:
     """Entrywise AND of predicate pairs: the 0/1 crossproduct."""
-    M1 = _require_predicate(W1, "left")
-    M2 = _require_predicate(W2, "right")
-    n = W1.n * W2.n
-    if M1.shape[0] * M2.shape[0] * n > EXPLICIT_ENTRY_CAP:
-        check_gram_cells(n)
-        return Workload.from_gram(np.kron(W1.gram, W2.gram),
-                                  query_count=_count_prod(W1, W2))
-    return Workload.from_matrix(np.kron(M1, M2), dedup=False)
+    _require_predicate(W1, "left")
+    _require_predicate(W2, "right")
+    return crossproduct(W1, W2)

@@ -109,14 +109,11 @@ def build_strategy(args, W: Workload, dims) -> Strategy:
         return identity_strategy(W.n)
     if spec == "workload":
         return workload_strategy(W)
+    dims = dims or [W.n]  # one factor per grid dimension
     if spec == "hierarchical":
-        if dims and len(dims) > 1:
-            return kron_strategy([hierarchical_strategy(d, args.fanout) for d in dims])
-        return hierarchical_strategy(W.n, args.fanout)
+        return kron_strategy([hierarchical_strategy(d, args.fanout) for d in dims])
     if spec == "haar":
-        if dims and len(dims) > 1:
-            return kron_strategy([haar_strategy(d) for d in dims])
-        return haar_strategy(W.n)
+        return kron_strategy([haar_strategy(d) for d in dims])
     if spec == "sqrt":
         return sqrt_strategy(W, explicit=args.command == "run")
     raise DimOutOfRange(f"unknown strategy spec {spec!r}")
@@ -214,22 +211,20 @@ def _range_projected_ratio(d: int) -> float:
 
 
 def _predicate_projected_ratio(n: int) -> float:
-    """Projections of the all-predicates workload keep the same Gram shape,
-    so the best subset is found by scanning sizes with the closed form."""
-    W = all_predicate_gram(n)
-    if W.uniform is None:
-        G = W.gram
-        la, lb = math.log(G[0, 0]), math.log(G[0, 1]) if n > 1 else -math.inf
-    else:
-        la, lb = W.uniform.log_diag, W.uniform.log_off
+    """Projections of the all-predicates workload keep the same Gram shape
+    (diagonal 2^(n-1), off-diagonal 2^(n-2)), so the best subset is found by
+    scanning sizes with the closed form."""
+    la, lb = (n - 1) * math.log(2.0), (n - 2) * math.log(2.0)
     full = uniform_svdb_log(la, lb, n)
     best = max(uniform_svdb_log(la, lb, k) for k in range(1, n + 1))
     return max(1.0, math.exp(best - full))
 
 
-def _table_row(name, W, svdb_u_ratio, strategy_list):
+def _table_row(name, W, svdb_u_ratio, dims, fanout):
     rep = bound_report(W)
-    ratios = [evaluate_strategy(W, A).ratio_to_svdb for A in strategy_list]
+    makers = [identity_strategy, lambda d: hierarchical_strategy(d, fanout), haar_strategy]
+    ratios = [evaluate_strategy(W, kron_strategy([make(d) for d in dims])).ratio_to_svdb
+              for make in makers]
     return [
         name,
         fmt_log10(rep.svdb_log10),
@@ -240,31 +235,16 @@ def _table_row(name, W, svdb_u_ratio, strategy_list):
     ]
 
 
-def _range_strategies(dims, fanout):
-    if len(dims) > 1:
-        return [
-            kron_strategy([identity_strategy(d) for d in dims]),
-            kron_strategy([hierarchical_strategy(d, fanout) for d in dims]),
-            kron_strategy([haar_strategy(d) for d in dims]),
-        ]
-    d = dims[0]
-    return [identity_strategy(d), hierarchical_strategy(d, fanout), haar_strategy(d)]
-
-
 def cmd_table2(args) -> int:
-    fanout = args.fanout
     rows = []
     for dims, name in [([2048], "AllRange(2048)"),
                        ([64, 32], "AllRange(64,32)"),
                        ([2] * 10, "AllRange(2x2x...x2, 10 dims)")]:
-        W = all_range(dims)
         u_ratio = math.prod(_range_projected_ratio(d) for d in dims)
-        rows.append(_table_row(name, W, u_ratio, _range_strategies(dims, fanout)))
+        rows.append(_table_row(name, all_range(dims), u_ratio, dims, args.fanout))
     n = 1024
-    W = all_predicate_gram(n)
-    rows.append(_table_row(
-        "AllPredicate(1024)", W, _predicate_projected_ratio(n),
-        [identity_strategy(n), hierarchical_strategy(n, fanout), haar_strategy(n)]))
+    rows.append(_table_row("AllPredicate(1024)", all_predicate_gram(n),
+                           _predicate_projected_ratio(n), [n], args.fanout))
     header = ("workload,svdb,svdb_log10,svdb_u_ratio,identity_ratio,"
               "hierarchical_ratio,haar_ratio,eigen_design")
     lines = [header] + [",".join(f'"{c}"' if "," in c else c for c in row)

@@ -176,12 +176,12 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
     p = p_factor_of(params)
     log_p = math.log(p)
     log_sens_sq = _sens_sq_log(A)
-    # read before A.gram_eig(), which would fill the spectrum cache when A is W
+    pair = A.gram_eig() if A.uniform is None else None
     log_svdb = svdb_log(W)
     n = W.n
 
     if W.uniform is None and A.uniform is None:
-        trace, resid = pinv_trace_and_residual(W.gram, A.gram_eig())
+        trace, resid = pinv_trace_and_residual(W.gram, pair)
         if resid > SUPPORT_TOL_GRAM:
             raise SupportViolation(
                 f"strategy does not support workload: trace residual {resid:.3e} "
@@ -189,7 +189,7 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
         log_err = log_p + log_sens_sq + (math.log(trace) if trace > 0 else -math.inf)
     elif W.uniform is not None and A.uniform is None:
         la, lb = W.uniform.log_diag, W.uniform.log_off
-        values, vectors = A.gram_eig()
+        values, vectors = pair
         top = values[0] if values.size else 0.0
         kept = values > EIG_ZERO_REL * max(top, 0.0)
         if int(kept.sum()) < n:

@@ -18,11 +18,11 @@ from .logspace import log_add, log_sub
 from .mechanism import StrategyErrorReport, analytic_total_error
 from .numkernel import as_sym_matrix, psd_sqrt
 from .workloads import (
-    EXPLICIT_ENTRY_CAP,
     Workload,
     _read_matrix_csv,
     _write_matrix_csv,
     check_gram_cells,
+    kron_product,
 )
 
 
@@ -50,6 +50,7 @@ def identity_strategy(n: int) -> Strategy:
     """One query per cell: the baseline strategy."""
     if n < 1:
         raise DimOutOfRange(f"n must be >= 1, got {n}")
+    check_gram_cells(n)
     return Strategy("identity", Workload.from_matrix(np.eye(n), dedup=False))
 
 
@@ -71,6 +72,7 @@ def hierarchical_strategy(n: int, fanout: int = 2) -> Strategy:
         raise DimOutOfRange(f"n must be >= 1, got {n}")
     if fanout < 2:
         raise DimOutOfRange(f"fanout must be >= 2, got {fanout}")
+    check_gram_cells(n)
     nodes = []
     queue = deque([(0, n)])  # breadth-first so levels come out in order
     while queue:
@@ -99,6 +101,7 @@ def haar_strategy(n: int) -> Strategy:
     n = int(n)
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"Haar strategy needs n = 2^k, got {n}")
+    check_gram_cells(n)
     M = np.zeros((n, n))  # the total row plus n/2 + n/4 + ... + 1 contrasts
     M[0] = 1.0
     r, block = 1, n
@@ -152,24 +155,8 @@ def sqrt_strategy(G, explicit: bool = False) -> Strategy:
 def kron_strategy(parts) -> Strategy:
     """Kronecker product of per-dimension strategies (row-major cell order)."""
     parts = [p if isinstance(p, Strategy) else Strategy("custom", p) for p in parts]
-    if not parts:
-        raise DimOutOfRange("need at least one strategy to compose")
-    if len(parts) == 1:
-        return parts[0]
-    kinds = "x".join(p.kind for p in parts)
-    if all(p.is_explicit for p in parts):
-        entries = math.prod(p.matrix.shape[0] for p in parts) \
-            * math.prod(p.n for p in parts)
-        if entries <= EXPLICIT_ENTRY_CAP:
-            M = parts[0].matrix
-            for p in parts[1:]:
-                M = np.kron(M, p.matrix)
-            return Strategy(kinds, Workload.from_matrix(M, dedup=False))
-    check_gram_cells(math.prod(p.n for p in parts))
-    G = parts[0].workload.gram
-    for p in parts[1:]:
-        G = np.kron(G, p.workload.gram)
-    return Strategy(kinds, Workload.from_gram(G))
+    return Strategy("x".join(p.kind for p in parts),
+                    kron_product([p.workload for p in parts]))
 
 
 def evaluate_strategy(W: Workload, A, params=None) -> StrategyErrorReport:

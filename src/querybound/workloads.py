@@ -27,10 +27,12 @@ from .exceptions import (
 from .logspace import to_float
 from .numkernel import EigenPair, as_sym_matrix
 
-# explicit constructors fall back to Gram form beyond these sizes
+# explicit rows give way to the Gram form beyond EXPLICIT_ENTRY_CAP matrix
+# entries (kron_product, all_range) or, for data cubes, EXPLICIT_CELL_CAP cells
 EXPLICIT_CELL_CAP = 4096
 EXPLICIT_ENTRY_CAP = 10 ** 7
-# dense Grams beyond this many cells (512 MiB of float64 each) are refused
+# dense Grams (and explicit strategies, at least as large) beyond this many
+# cells (512 MiB of float64 each) are refused
 GRAM_CELL_CAP = 8192
 
 # largest materializable Gram entry before closed forms take over
@@ -185,7 +187,7 @@ def range_gram_1d(d: int) -> np.ndarray:
 
 
 def check_gram_cells(n: int):
-    """Refuse a dense n x n Gram beyond GRAM_CELL_CAP before it is allocated."""
+    """Refuse an n x n (or larger) matrix beyond GRAM_CELL_CAP before it is allocated."""
     if n > GRAM_CELL_CAP:
         raise DimOutOfRange(
             f"a dense Gram on {n} cells exceeds the cap of {GRAM_CELL_CAP} cells")
@@ -200,22 +202,56 @@ def _check_dims(dims):
     return dims
 
 
+def _exact_gram(G, query_count=None) -> Workload:
+    """Gram-form workload from a Gram this module formed exactly symmetric."""
+    G.setflags(write=False)
+    return Workload(G.shape[0], gram=G, query_count=query_count)
+
+
+def kron_product(parts) -> Workload:
+    """Kronecker product of workloads over the row-major product domain.
+
+    The one place a product of workloads is formed: explicit rows while the
+    product has at most EXPLICIT_ENTRY_CAP entries, otherwise the Kronecker
+    product of the factor Grams. Every factor Gram is exactly symmetric and
+    so is their product, which is therefore not validated again. A single
+    part is returned unchanged.
+    """
+    parts = list(parts)
+    if not parts:
+        raise DimOutOfRange("need at least one workload to compose")
+    if len(parts) == 1:
+        return parts[0]
+    n = math.prod(p.n for p in parts)
+    if all(p.is_explicit for p in parts) and \
+            math.prod(p.matrix.shape[0] for p in parts) * n <= EXPLICIT_ENTRY_CAP:
+        return Workload.from_matrix(reduce(np.kron, [p.matrix for p in parts]),
+                                    dedup=False)
+    check_gram_cells(n)
+    counts = [p.query_count for p in parts]
+    return _exact_gram(reduce(np.kron, [p.gram for p in parts]),
+                       None if None in counts else math.prod(counts))
+
+
+def _all_range_1d(d: int, explicit: bool) -> Workload:
+    if explicit:
+        return Workload.from_matrix(_range_rows_1d(d), dedup=False)
+    check_gram_cells(d)
+    return _exact_gram(range_gram_1d(d), query_count=d * (d + 1) // 2)
+
+
 def all_range(dims) -> Workload:
     """All axis-aligned range-count queries over a grid of the given dims.
 
     Each dimension contributes every contiguous interval including the full
     domain; multi-dim queries are products of per-dim intervals. Explicit up
-    to the size caps, Gram-only (Kronecker of per-dim closed forms) beyond.
+    to the entry cap, Gram-only (Kronecker of per-dim Grams) beyond.
     """
     dims = _check_dims(dims)
-    n = math.prod(dims)
-    m = math.prod(d * (d + 1) // 2 for d in dims)
-    if n <= EXPLICIT_CELL_CAP and m * n <= EXPLICIT_ENTRY_CAP:
-        M = reduce(np.kron, [_range_rows_1d(d) for d in dims])
-        return Workload.from_matrix(M, dedup=False)
-    check_gram_cells(n)
-    G = reduce(np.kron, [range_gram_1d(d) for d in dims])
-    return Workload.from_gram(G, query_count=m)
+    # the factors take the form kron_product will give their product: one
+    # dimension's rows reach 80 MB (d = 271) where only its Gram is used
+    explicit = math.prod(d * (d + 1) // 2 * d for d in dims) <= EXPLICIT_ENTRY_CAP
+    return kron_product([_all_range_1d(d, explicit) for d in dims])
 
 
 def all_predicate_gram(n: int) -> Workload:
@@ -242,7 +278,8 @@ def data_cube(dims, cuboids, weights) -> Workload:
     A cuboid is a subset of attribute indices (1-based); it contributes one
     query per value combination of those attributes, each summing all cells
     that agree on them, scaled by the cuboid's weight. The empty cuboid is
-    the single total-sum query.
+    the single total-sum query. Rows repeated across cuboids are all kept, so
+    the explicit form has the same Gram as the Gram-only form.
     """
     dims = _check_dims(dims)
     cuboids = [tuple(sorted(set(int(a) for a in c))) for c in cuboids]
@@ -265,14 +302,14 @@ def data_cube(dims, cuboids, weights) -> Workload:
             parts = [np.eye(d) if (a + 1) in c else np.ones((1, d))
                      for a, d in enumerate(dims)]
             blocks.append(w * reduce(np.kron, parts))
-        return Workload.from_matrix(np.vstack(blocks))
+        return Workload.from_matrix(np.vstack(blocks), dedup=False)
     check_gram_cells(n)
     G = np.zeros((n, n))
     for c, w in zip(cuboids, weights):
         parts = [np.eye(d) if (a + 1) in c else np.ones((d, d))
                  for a, d in enumerate(dims)]
         G += w * w * reduce(np.kron, parts)
-    return Workload.from_gram(G, query_count=m)
+    return _exact_gram(G, query_count=m)
 
 
 def check_subset(mu, n) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Fail-fast guards: every request runs serially, and a dense Gram that
-cannot fit is refused before it is allocated.
+"""Fail-fast guards: every request runs serially, and a dense Gram or an
+explicit strategy that cannot fit is refused before it is allocated.
 
 The Gram cap is tested with the cap monkeypatched low, so that even a broken
 check allocates only a small matrix."""
@@ -13,12 +13,14 @@ from querybound import (
     DimOutOfRange,
     Strategy,
     Workload,
-    algebra,
     all_range,
     cli,
     conjunction,
     crossproduct,
     data_cube,
+    haar_strategy,
+    hierarchical_strategy,
+    identity_strategy,
     kron_strategy,
     workloads,
 )
@@ -38,7 +40,7 @@ def test_no_request_starts_a_thread(monkeypatch, capsys):
 def small_gram_cap(monkeypatch):
     monkeypatch.setattr(workloads, "GRAM_CELL_CAP", 8)
     monkeypatch.setattr(workloads, "EXPLICIT_CELL_CAP", 4)
-    monkeypatch.setattr(algebra, "EXPLICIT_ENTRY_CAP", 0)
+    monkeypatch.setattr(workloads, "EXPLICIT_ENTRY_CAP", 0)
 
 
 def test_dense_gram_fallbacks_refuse_grams_beyond_the_cap(small_gram_cap):
@@ -69,4 +71,14 @@ def test_grams_at_the_cap_are_still_formed(small_gram_cap):
 
 def test_cli_exits_2_on_a_gram_beyond_the_cap(small_gram_cap, capsys):
     assert cli.main(["bound", "--workload", "all-range", "--cells", "9"]) == 2
+    assert "DimOutOfRange" in capsys.readouterr().err
+
+
+def test_explicit_strategy_constructors_refuse_sizes_beyond_the_cap(small_gram_cap, capsys):
+    for make in (identity_strategy, hierarchical_strategy, haar_strategy):
+        assert make(8).n == 8
+        with pytest.raises(DimOutOfRange):
+            make(16)
+    assert cli.main(["eval", "--workload", "all-predicate", "--cells", "9",
+                     "--strategy", "identity"]) == 2
     assert "DimOutOfRange" in capsys.readouterr().err

@@ -303,3 +303,20 @@ def test_noise_streams_are_splittable_and_reproducible():
     b = GaussianNoise(99).sample(4, trial=7)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, noise.sample(4, trial=8))
+
+
+def test_workload_as_its_own_strategy_solves_one_spectrum(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    W = all_range([73])
+    rep = analytic_total_error(W, W)
+    assert calls == ["eigh"]
+    monkeypatch.undo()
+    np.testing.assert_allclose(rep.ratio_to_svdb,
+                               rep.total_error / svdb(all_range([73])), rtol=1e-12)

@@ -18,13 +18,17 @@ from querybound import (
     contained_in,
     data_cube,
     equivalent,
+    kron_product,
+    kron_strategy,
     load_data_vector,
     load_gram_csv,
     load_workload_csv,
     range_gram_1d,
     save_gram_csv,
     save_workload_csv,
+    svdb,
 )
+from querybound import numkernel, workloads
 from querybound.workloads import check_subset
 
 LN2 = math.log(2.0)
@@ -89,6 +93,41 @@ def test_all_range_falls_back_to_gram_beyond_caps():
                                rtol=1e-13)
 
 
+def test_kron_product_returns_a_single_part_unchanged():
+    W = all_range([3])
+    assert kron_product([W]) is W
+    with pytest.raises(DimOutOfRange):
+        kron_product([])
+
+
+def test_kron_product_gram_form_matches_rows_and_keeps_query_counts(monkeypatch):
+    A, B = all_range([3]), all_predicate_gram(2)
+    X = kron_product([A, B])
+    assert X.is_explicit and X.query_count == 6 * 4
+    monkeypatch.setattr(workloads, "EXPLICIT_ENTRY_CAP", 0)
+    Y = kron_product([A, B])
+    assert not Y.is_explicit and Y.query_count == 6 * 4
+    np.testing.assert_array_equal(Y.gram, X.gram)
+    # a factor without a query count leaves the product without one
+    assert kron_product([Workload.from_gram(np.eye(2)), A]).query_count is None
+
+
+def test_gram_form_products_are_not_validated_again(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram formed by a product was validated again")
+    monkeypatch.setattr(workloads, "EXPLICIT_ENTRY_CAP", 0)
+    monkeypatch.setattr(workloads, "EXPLICIT_CELL_CAP", 0)
+    for module in (numkernel, workloads):
+        monkeypatch.setattr(module, "as_sym_matrix", refuse)
+    products = [all_range([4]), all_range([3, 2]),
+                kron_product([all_range([2]), all_predicate_gram(2)]),
+                kron_strategy([all_range([2]), all_range([3])]).workload,
+                data_cube([2, 3], [[1], []], [1.0, 2.0])]
+    for W in products:
+        assert not W.is_explicit
+        assert np.array_equal(W.gram, W.gram.T)
+
+
 def test_all_predicate_small_is_explicit_with_all_patterns():
     W = all_predicate_gram(3)
     assert W.matrix.shape == (8, 3)
@@ -127,6 +166,20 @@ def test_data_cube_group_by_second_attribute():
 def test_data_cube_full_cuboid_is_identity():
     W = data_cube([2, 2], [[1, 2]], [1.0])
     np.testing.assert_array_equal(W.matrix, np.eye(4))
+
+
+def test_data_cube_forms_agree_on_repeated_rows(monkeypatch):
+    # a size-1 attribute makes cuboid (1,) repeat the total query, and a
+    # cuboid listed twice repeats all its rows: both forms keep every row
+    cases = [([1, 3], [[1], []], [1.0, 1.0]), ([2, 3], [[2], [2]], [1.0, 1.0])]
+    explicit = [data_cube(*case) for case in cases]
+    monkeypatch.setattr(workloads, "EXPLICIT_CELL_CAP", 0)
+    for W, case in zip(explicit, cases):
+        G = data_cube(*case)
+        assert W.is_explicit and not G.is_explicit
+        assert W.query_count == G.query_count
+        np.testing.assert_array_equal(W.gram, G.gram)
+        np.testing.assert_allclose(svdb(W), svdb(G), rtol=1e-12)
 
 
 def test_data_cube_validation_errors():
