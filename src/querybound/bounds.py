@@ -11,6 +11,7 @@ achieves the bound, and the looseness factor bounds the gap when it does not.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .exceptions import (
     SubsetTooLarge,
 )
 from .logspace import json_num, log_add, log_sub, log10_of, to_float
-from .numkernel import EigenPair, clean_spectrum, sym_eig
+from .numkernel import EigenPair, clean_spectrum, kron_matvec, sym_eig
 from .privacy import p_factor_of
 from .workloads import Workload, check_subset, column_project
 
@@ -176,14 +177,35 @@ def greedy_projected_svdb(W: Workload, restarts: int = 8, seed: int = 0):
     return to_float(best[0]), best[1]
 
 
-def _sqrt_diag_and_trace(pair: EigenPair) -> tuple:
-    """(diag(sqrt(G)), trace(sqrt(G))) from G's eigenpairs, cut off as psd_sqrt.
+def _sqrt_diag_and_trace(values: np.ndarray, diag_of) -> tuple:
+    """(diag(sqrt(G)), trace(sqrt(G))) from G's eigenvalues, cut off as psd_sqrt.
 
-    diag_i = sum_k v_ik^2 sqrt(lambda_k): the einsum forms no n x n matrix.
+    diag_of maps a spectrum s, in the order of values, to
+    diag(V diag(s) V') = sum_k v_ik^2 s_k over the matching eigenvectors.
     """
-    root = np.sqrt(clean_spectrum(pair.values))
-    diag = np.einsum("ik,k,ik->i", pair.vectors, root, pair.vectors)
-    return diag, float(np.sum(root))
+    root = np.sqrt(clean_spectrum(values))
+    return diag_of(root), float(np.sum(root))
+
+
+def _dense_root_inputs(pair: EigenPair) -> tuple:
+    """_sqrt_diag_and_trace inputs from eigenpairs: the einsum forms no n x n matrix."""
+    return pair.values, lambda root: np.einsum("ik,k,ik->i", pair.vectors, root,
+                                               pair.vectors)
+
+
+def _root_inputs(W: Workload) -> tuple:
+    """_sqrt_diag_and_trace inputs for W's Gram.
+
+    A product takes them from its factors' eigenpairs: the products of their
+    eigenvalues in Kronecker order, and the Kronecker mat-vec of their
+    squared eigenvectors, so nothing n x n is formed.
+    """
+    if W.factors is None:
+        return _dense_root_inputs(W.gram_eig())
+    pairs = [f.gram_eig() for f in W.factors]
+    squares = [p.vectors * p.vectors for p in pairs]
+    return (reduce(np.kron, [p.values for p in pairs]),
+            lambda root: kron_matvec(squares, root))
 
 
 def _diag_spread(diag: np.ndarray) -> float:
@@ -197,7 +219,7 @@ def tightness_certificate(G) -> tuple:
     The bound is achievable exactly when all diagonal entries of sqrt(Gram)
     coincide; diag_spread = (max - min) / max of that diagonal.
     """
-    spread = _diag_spread(_sqrt_diag_and_trace(sym_eig(G))[0])
+    spread = _diag_spread(_sqrt_diag_and_trace(*_dense_root_inputs(sym_eig(G)))[0])
     return spread <= TIGHT_SPREAD_TOL, spread
 
 
@@ -207,7 +229,7 @@ def looseness_upper_bound(G, params=None) -> float:
     Equals n * d0 * P * svdb / trace(sqrt(G)) and is attained by the strategy
     whose Gram is sqrt(G); collapses to P * svdb when the certificate holds.
     """
-    diag, trace = _sqrt_diag_and_trace(sym_eig(G))
+    diag, trace = _sqrt_diag_and_trace(*_dense_root_inputs(sym_eig(G)))
     return p_factor_of(params) * float(np.max(diag)) * trace
 
 
@@ -347,8 +369,9 @@ def bound_report(W: Workload, projections=None, epsilon: float = 1.0) -> BoundRe
         # constant-diagonal sqrt(Gram): certificate holds with zero spread
         tight, spread, loose = True, 0.0, 1.0
     else:
-        # the one eigensolve: it also fills the spectrum cache svdb_log reads
-        d, tr = _sqrt_diag_and_trace(W.gram_eig())
+        # the one eigensolve (one per factor for a product): it also fills the
+        # spectrum cache svdb_log reads
+        d, tr = _sqrt_diag_and_trace(*_root_inputs(W))
         spread = _diag_spread(d)
         tight = spread <= TIGHT_SPREAD_TOL
         loose = W.n * float(d.max(initial=0.0)) / tr if tr > 0 else 1.0

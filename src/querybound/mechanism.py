@@ -9,6 +9,7 @@ workloads far outside float range, and validates by Monte-Carlo.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,7 +23,12 @@ from .exceptions import (
     SupportViolation,
 )
 from .logspace import json_num, log_add, log_sub, log10_of, to_float
-from .numkernel import EIG_ZERO_REL, pinv_trace_and_residual, pseudoinverse
+from .numkernel import (
+    EIG_ZERO_REL,
+    pinv_trace_and_residual,
+    pseudoinverse,
+    quadratic_forms,
+)
 from .privacy import PrivacyParams, p_factor_of
 from .workloads import Workload
 
@@ -79,16 +85,32 @@ def sensitivity(A, norm: str = "l2") -> float:
         raise GramOnlyL1("L1 sensitivity needs explicit rows, not just a Gram")
     if A.uniform is not None:
         return to_float(0.5 * A.uniform.log_diag)
-    return float(np.sqrt(np.max(np.diag(A.gram), initial=0.0)))
+    return float(np.sqrt(np.max(A.gram_diag(), initial=0.0)))
 
 
 def _sens_sq_log(A: Workload) -> float:
     """ln of the squared L2 sensitivity, exact for every representation."""
     if A.uniform is not None:
         return A.uniform.log_diag
-    top = float(np.max(np.diag(A.gram), initial=0.0)) if not A.is_explicit \
+    top = float(np.max(A.gram_diag(), initial=0.0)) if not A.is_explicit \
         else float(np.max(np.sum(A.matrix * A.matrix, axis=0), initial=0.0))
     return math.log(top) if top > 0 else -math.inf
+
+
+def _pinv_trace_inputs(W: Workload, A: Workload) -> tuple:
+    """pinv_trace_and_residual inputs (quads, values, total) for G_W and G_A.
+
+    When W and A are products over the same factor sizes, each is the
+    Kronecker product (or, for the trace, the product) of the factors'
+    inputs, so nothing n x n is formed; otherwise G_A's eigenpairs give them.
+    """
+    if W.factors is not None and A.factors is not None and \
+            [f.n for f in W.factors] == [f.n for f in A.factors]:
+        quads, values, totals = zip(*[_pinv_trace_inputs(w, a)
+                                      for w, a in zip(W.factors, A.factors)])
+        return reduce(np.kron, quads), reduce(np.kron, values), math.prod(totals)
+    pair = A.gram_eig()
+    return quadratic_forms(W.gram, pair), pair.values, W.gram_trace()
 
 
 def _check_data(x, n: int) -> np.ndarray:
@@ -176,12 +198,15 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
     p = p_factor_of(params)
     log_p = math.log(p)
     log_sens_sq = _sens_sq_log(A)
-    pair = A.gram_eig() if A.uniform is None else None
+    # A's spectrum before svdb_log(W): when A is W, svdb reads the values it left
+    spectrum = None
+    if A.uniform is None:
+        spectrum = A.gram_eig() if W.uniform is not None else _pinv_trace_inputs(W, A)
     log_svdb = svdb_log(W)
     n = W.n
 
     if W.uniform is None and A.uniform is None:
-        trace, resid = pinv_trace_and_residual(W.gram, pair)
+        trace, resid = pinv_trace_and_residual(*spectrum)
         if resid > SUPPORT_TOL_GRAM:
             raise SupportViolation(
                 f"strategy does not support workload: trace residual {resid:.3e} "
@@ -189,7 +214,7 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
         log_err = log_p + log_sens_sq + (math.log(trace) if trace > 0 else -math.inf)
     elif W.uniform is not None and A.uniform is None:
         la, lb = W.uniform.log_diag, W.uniform.log_off
-        values, vectors = pair
+        values, vectors = spectrum
         top = values[0] if values.size else 0.0
         kept = values > EIG_ZERO_REL * max(top, 0.0)
         if int(kept.sum()) < n:
@@ -206,7 +231,7 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
         log_err = log_p + log_sens_sq + l_dm1 + math.log(t1 + r * t2)
     elif W.uniform is None and A.uniform is not None:
         lgd, lgo = A.uniform.log_diag, A.uniform.log_off
-        tw = float(np.trace(W.gram))
+        tw = W.gram_trace()
         sw = float(np.sum(W.gram))
         resid = 0.0  # uniform strategy Grams are positive definite
         l_tw = math.log(tw) if tw > 0 else -math.inf

@@ -5,6 +5,7 @@ symmetric eigendecompositions, PSD square roots, and pseudoinverse traces
 computed here. All kernels are pure functions of their float64 inputs.
 """
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,25 @@ class EigenPair(NamedTuple):
         """eigh of a matrix already known to be symmetric, reordered descending."""
         values, vectors = np.linalg.eigh(S)
         return cls(values[::-1].copy(), vectors[:, ::-1].copy())
+
+    @classmethod
+    def of_kron(cls, pairs) -> "EigenPair":
+        """Eigenpairs of the Kronecker product of the matrices the pairs solve.
+
+        Products of factor eigenvalues with Kronecker products of their
+        eigenvectors, reordered descending: no eigensolve at the product size.
+        """
+        values = reduce(np.kron, [p.values for p in pairs])
+        order = np.argsort(-values, kind="stable")
+        return cls(values[order], reduce(np.kron, [p.vectors for p in pairs])[:, order])
+
+
+def kron_matvec(mats, x: np.ndarray) -> np.ndarray:
+    """(M_1 kron ... kron M_k) @ x without forming the product (row-major x)."""
+    X = np.reshape(x, [M.shape[1] for M in mats])
+    for axis, M in enumerate(mats):
+        X = np.moveaxis(np.tensordot(M, X, axes=(1, axis)), 0, axis)
+    return X.reshape(-1)
 
 
 def as_sym_matrix(S, tol: float = SYM_TOL) -> np.ndarray:
@@ -76,11 +96,16 @@ def clean_spectrum(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def psd_sqrt(S) -> np.ndarray:
-    """Symmetric PSD square root R with R @ R == S (cutoffs as clean_spectrum)."""
-    values, vectors = sym_eig(S)
+def psd_sqrt_of(pair: EigenPair) -> np.ndarray:
+    """Symmetric PSD square root from a matrix's eigenpairs (cutoffs as clean_spectrum)."""
+    values, vectors = pair
     R = (vectors * np.sqrt(clean_spectrum(values))) @ vectors.T
     return 0.5 * (R + R.T)
+
+
+def psd_sqrt(S) -> np.ndarray:
+    """Symmetric PSD square root R with R @ R == S (cutoffs as clean_spectrum)."""
+    return psd_sqrt_of(sym_eig(S))
 
 
 def pseudoinverse(A) -> np.ndarray:
@@ -91,19 +116,23 @@ def pseudoinverse(A) -> np.ndarray:
     return np.linalg.pinv(A, rcond=EIG_ZERO_REL)
 
 
-def pinv_trace_and_residual(G_W: np.ndarray, pair: EigenPair) -> tuple:
+def quadratic_forms(G_W: np.ndarray, pair: EigenPair) -> np.ndarray:
+    """v_k' G_W v_k for every eigenvector v_k of the pair."""
+    return np.einsum("ij,ij->j", pair.vectors, G_W @ pair.vectors)
+
+
+def pinv_trace_and_residual(quads: np.ndarray, values: np.ndarray, total: float) -> tuple:
     """(trace(G_W pinv(G_A)), relative trace residual of G_W off G_A's range).
 
-    pair holds G_A's eigenpairs in sym_eig order; G_A must be PSD (NotPSD
+    values are G_A's eigenvalues in any order, quads the matching quadratic
+    forms v_k' G_W v_k and total = trace(G_W). G_A must be PSD (NotPSD
     otherwise). Only eigenvalues above the relative cutoff are inverted. The
     residual is the share of trace(G_W) outside the kept eigenvectors' span:
     the caller compares it with its support tolerance.
     """
-    values = check_psd(pair.values)
+    values = check_psd(values)
     kept = values > EIG_ZERO_REL * values.max(initial=0.0)
-    quads = np.einsum("ij,ij->j", pair.vectors, G_W @ pair.vectors)  # v_k' G_W v_k
     covered = float(np.sum(quads[kept]))
-    total = float(np.trace(G_W))
     resid = max(0.0, total - covered) / total if total > 0 else 0.0
     trace = float(np.sum(quads[kept] / values[kept])) if kept.any() else 0.0
     return trace, resid
@@ -120,4 +149,5 @@ def pinv_trace(G_W, G_A) -> float:
     if G_W.shape != pair.vectors.shape:
         raise DimensionMismatch(f"Gram shapes differ: {G_W.shape} vs {pair.vectors.shape}")
     check_psd(sym_eig(G_W).values)
-    return pinv_trace_and_residual(G_W, pair)[0]
+    return pinv_trace_and_residual(quadratic_forms(G_W, pair), pair.values,
+                                   float(np.trace(G_W)))[0]

@@ -16,9 +16,10 @@ import numpy as np
 from .exceptions import DimOutOfRange, ExplicitRequired, NotPowerOfTwo
 from .logspace import log_add, log_sub
 from .mechanism import StrategyErrorReport, analytic_total_error
-from .numkernel import as_sym_matrix, psd_sqrt
+from .numkernel import EigenPair, as_sym_matrix, clean_spectrum, psd_sqrt_of
 from .workloads import (
     Workload,
+    _exact_gram,
     _read_matrix_csv,
     _write_matrix_csv,
     check_gram_cells,
@@ -134,7 +135,9 @@ def sqrt_strategy(G, explicit: bool = False) -> Strategy:
     Its error meets the looseness upper bound d0 * trace(sqrt(G)) * P and
     collapses to P * svdb exactly when the tightness certificate holds.
     Accepts a Gram matrix or a Workload; explicit=True realizes the strategy
-    as the symmetric fourth root for use in the sampling mechanisms.
+    as the symmetric fourth root for use in the sampling mechanisms. Both
+    roots come from one eigensolve: a Workload's own (which also fills the
+    spectrum cache svdb reads), or that of the validated matrix.
     """
     if isinstance(G, Strategy):
         G = G.workload
@@ -145,11 +148,13 @@ def sqrt_strategy(G, explicit: bool = False) -> Strategy:
                     "sqrt strategy for this workload exceeds float range; "
                     "only the log-space Gram form exists")
             return Strategy("sqrt", _uniform_sqrt(G))
-        G = G.gram
-    R = psd_sqrt(as_sym_matrix(G))
+        pair = G.gram_eig()
+    else:
+        pair = EigenPair.of_symmetric(as_sym_matrix(G))
     if explicit:
-        return Strategy("sqrt", Workload.from_matrix(psd_sqrt(R), dedup=False))
-    return Strategy("sqrt", Workload.from_gram(R))
+        fourth = psd_sqrt_of(EigenPair(np.sqrt(clean_spectrum(pair.values)), pair.vectors))
+        return Strategy("sqrt", Workload.from_matrix(fourth, dedup=False))
+    return Strategy("sqrt", _exact_gram(psd_sqrt_of(pair)))
 
 
 def kron_strategy(parts) -> Strategy:

@@ -64,7 +64,13 @@ class UniformGram:
 
 
 class Workload:
-    """Immutable set of linear counting queries over n cells."""
+    """Immutable set of linear counting queries over n cells.
+
+    A product formed by kron_product keeps its flattened factors in
+    `factors` (None otherwise): its spectrum, Gram diagonal and trace are
+    assembled from theirs, and a Gram-form product forms its n x n Gram only
+    when `gram` is read.
+    """
 
     def __init__(self, n, matrix=None, gram=None, uniform=None, query_count=None,
                  labels=None):
@@ -75,6 +81,7 @@ class Workload:
         self._query_count = query_count
         self.labels = labels
         self._gram_eigvals = None
+        self.factors = None
         if self.n < 1:
             raise DimOutOfRange(f"cell count must be >= 1, got {n}")
         if matrix is None and gram is None and uniform is None:
@@ -123,20 +130,40 @@ class Workload:
                 check_gram_cells(self.n)
                 G = self.matrix.T @ self.matrix
                 G = 0.5 * (G + G.T)
+            elif self.factors is not None:
+                # exactly symmetric factors: so is their Kronecker product
+                G = reduce(np.kron, [f.gram for f in self.factors])
             else:
                 G = self.uniform.materialize(self.n)
             G.setflags(write=False)
             self._gram = G
         return self._gram
 
+    def gram_diag(self) -> np.ndarray:
+        """Diagonal of the Gram; a product's is the Kronecker product of its factors'."""
+        if self.factors is not None:
+            return reduce(np.kron, [f.gram_diag() for f in self.factors])
+        return np.diag(self.gram)
+
+    def gram_trace(self) -> float:
+        """Trace of the Gram; a product's is the product of its factors'."""
+        if self.factors is not None:
+            return math.prod(f.gram_trace() for f in self.factors)
+        return float(np.trace(self.gram))
+
     def gram_eigvals(self) -> np.ndarray:
         """Gram eigenvalues in ascending order, solved for once per workload.
 
+        A product sorts the products of its factors' eigenvalues instead.
         Only values are kept: a cached n x n eigenvector matrix would double
         the memory a dense workload holds.
         """
         if self._gram_eigvals is None:
-            self._keep_eigvals(np.linalg.eigvalsh(self.gram))
+            if self.factors is not None:
+                values = np.sort(reduce(np.kron, [f.gram_eigvals() for f in self.factors]))
+            else:
+                values = np.linalg.eigvalsh(self.gram)
+            self._keep_eigvals(values)
         return self._gram_eigvals
 
     def gram_eig(self) -> EigenPair:
@@ -144,9 +171,14 @@ class Workload:
 
         Every call solves afresh, but the first one leaves its values in the
         cache that gram_eigvals reads. The Gram is not validated again: every
-        constructor symmetrizes it where it is formed or loaded.
+        constructor symmetrizes it where it is formed or loaded. A product
+        assembles its pairs from its factors' (EigenPair.of_kron): no
+        eigensolve runs at the product size.
         """
-        pair = EigenPair.of_symmetric(self.gram)
+        if self.factors is not None:
+            pair = EigenPair.of_kron([f.gram_eig() for f in self.factors])
+        else:
+            pair = EigenPair.of_symmetric(self.gram)
         if self._gram_eigvals is None:
             self._keep_eigvals(pair.values[::-1])
         return pair
@@ -158,10 +190,11 @@ class Workload:
 
     @property
     def frob_sq_log(self) -> float:
-        """ln of the squared Frobenius norm (= Gram trace), always finite."""
+        """ln of the squared Frobenius norm (= Gram trace); -inf for a zero workload."""
         if self.uniform is not None:
             return math.log(self.n) + self.uniform.log_diag
-        return math.log(float(np.trace(self.gram)))
+        trace = self.gram_trace()
+        return math.log(trace) if trace > 0 else -math.inf
 
     def __repr__(self):
         form = "explicit" if self.is_explicit else (
@@ -212,10 +245,11 @@ def kron_product(parts) -> Workload:
     """Kronecker product of workloads over the row-major product domain.
 
     The one place a product of workloads is formed: explicit rows while the
-    product has at most EXPLICIT_ENTRY_CAP entries, otherwise the Kronecker
-    product of the factor Grams. Every factor Gram is exactly symmetric and
-    so is their product, which is therefore not validated again. A single
-    part is returned unchanged.
+    product has at most EXPLICIT_ENTRY_CAP entries, otherwise the Gram form,
+    whose n x n Gram (the Kronecker product of the factor Grams, exactly
+    symmetric and so not validated again) is formed only when it is read.
+    Either form records the flattened factors in `factors`. A single part is
+    returned unchanged.
     """
     parts = list(parts)
     if not parts:
@@ -225,12 +259,14 @@ def kron_product(parts) -> Workload:
     n = math.prod(p.n for p in parts)
     if all(p.is_explicit for p in parts) and \
             math.prod(p.matrix.shape[0] for p in parts) * n <= EXPLICIT_ENTRY_CAP:
-        return Workload.from_matrix(reduce(np.kron, [p.matrix for p in parts]),
-                                    dedup=False)
-    check_gram_cells(n)
-    counts = [p.query_count for p in parts]
-    return _exact_gram(reduce(np.kron, [p.gram for p in parts]),
-                       None if None in counts else math.prod(counts))
+        W = Workload.from_matrix(reduce(np.kron, [p.matrix for p in parts]), dedup=False)
+    else:
+        check_gram_cells(n)
+        counts = [p.query_count for p in parts]
+        W = Workload(n, gram=(), query_count=None if None in counts else math.prod(counts))
+        W._gram = None  # () only passed the constructor's check: .gram forms it
+    W.factors = tuple(f for p in parts for f in (p.factors or (p,)))
+    return W
 
 
 def _all_range_1d(d: int, explicit: bool) -> Workload:
@@ -337,8 +373,8 @@ def column_project(W: Workload, mu) -> Workload:
                         labels=labels)
     if W.uniform is not None:
         return Workload(len(idx), uniform=W.uniform, query_count=W.query_count)
-    G = np.ascontiguousarray(W.gram[np.ix_(idx, idx)])
-    return Workload.from_gram(G, query_count=W.query_count)
+    # a principal submatrix of an exactly symmetric Gram is exactly symmetric
+    return _exact_gram(W.gram[np.ix_(idx, idx)], query_count=W.query_count)
 
 
 def _comparable_grams(W1: Workload, W2: Workload):
