@@ -1,12 +1,16 @@
-"""Property tests of the Kronecker product over random small explicit factors.
+"""Property tests of the storage forms and bound laws over random small inputs.
 
 Factor entries are small integers, so every Gram entry is an exact integer
 sum in float64 and the explicit and Gram-only forms of a product must agree
 bit for bit, not just to a tolerance. Quantities a product assembles from its
-factors agree with the dense path on the same Gram to rounding, and the
-analytic error never falls below the spectral bound. Examples are drawn
-deterministically, so every run checks the same ones.
+factors agree with the dense path on the same Gram to rounding, and so do
+the uniform log-space form and its materialized Gram. The analytic error
+never falls below the spectral bound, and sqrt(svdb) is subadditive under
+union. Examples are drawn deterministically, so every run checks the same
+ones.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +26,11 @@ from querybound import (
     kron_product,
     kron_strategy,
     svdb,
+    svdb_log,
+    union,
     workloads,
 )
+from querybound.strategies import _uniform_sqrt
 
 factor = st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(
     lambda m: st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n).map(
@@ -108,3 +115,42 @@ def test_analytic_error_is_at_least_p_times_svdb_for_full_rank_strategies(pair):
     W, A = pair
     rep = analytic_total_error(W, A, PrivacyParams(1.0, 1e-5))
     assert rep.total_error >= rep.p_factor * svdb(W) * (1 - 1e-9)
+
+
+@st.composite
+def uniform_workloads(draw):
+    """A constant-diagonal Gram up to the materializable() boundary, off = 0 allowed."""
+    n = draw(st.integers(1, 32))
+    log_diag = draw(st.floats(-20.0, math.log(1e300), exclude_max=True))
+    share = draw(st.one_of(st.just(0.0), st.floats(1e-6, 0.9)))  # off / diag
+    log_off = log_diag + math.log(share) if share > 0 else -math.inf
+    return Workload.from_uniform_gram(n, log_diag, log_off)
+
+
+def _materialized(W):
+    return Workload.from_gram(W.uniform.materialize(W.n))
+
+
+@SETTINGS
+@given(uniform_workloads())
+def test_uniform_log_and_materialized_forms_agree(W):
+    # relative agreement of the values, checked on their logs (atol covers ln 1 = 0)
+    dense = _materialized(W)
+    np.testing.assert_allclose(svdb_log(dense), svdb_log(W), rtol=1e-12, atol=1e-12)
+    root = _uniform_sqrt(W)
+    for forms in ([root, _materialized(root)], [hierarchical_strategy(W.n)]):
+        reps = [analytic_total_error(w, a) for w in (W, dense) for a in forms]
+        for rep in reps[1:]:
+            np.testing.assert_allclose(rep.total_error_log10, reps[0].total_error_log10,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(rep.support_residual, reps[0].support_residual,
+                                       rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_matrices(st.integers(1, 4), n),
+                                                     _matrices(st.integers(1, 4), n))))
+def test_sqrt_svdb_is_subadditive_under_union(pair):
+    W1, W2 = (Workload.from_matrix(M) for M in pair)
+    joint = math.sqrt(svdb(union(W1, W2)))
+    assert joint <= (math.sqrt(svdb(W1)) + math.sqrt(svdb(W2))) * (1 + 1e-12) + 1e-12
