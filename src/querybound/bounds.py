@@ -21,10 +21,10 @@ from .exceptions import (
     NotVariableAgnostic,
     SubsetTooLarge,
 )
-from .logspace import json_num, log_add, log_sub, log10_of, to_float
+from .logspace import json_num, log_add, log10_of, to_float
 from .numkernel import EigenPair, clean_spectrum, kron_matvec, sym_eig
 from .privacy import p_factor_of
-from .workloads import Workload, check_subset, column_project
+from .workloads import UniformGram, Workload, check_subset, column_project
 
 RANGE_FAMILY_CAP = 10 ** 6
 EXHAUSTIVE_CELL_CAP = 20
@@ -44,10 +44,8 @@ def uniform_svdb_log(log_diag: float, log_off: float, n: int) -> float:
     """
     if n == 1:
         return log_diag
-    l_dm1 = log_sub(log_diag, log_off)  # ln(diag - off)
-    l_q2 = log_add(0.0, math.log(n) + log_off - l_dm1)  # ln(1 + n*off/(diag-off))
-    l_term = log_add(0.5 * l_q2, math.log(n - 1))
-    return l_dm1 + 2.0 * l_term - math.log(n)
+    l_gap, l_ratio = UniformGram(log_diag, log_off).log_spectrum(n)
+    return l_gap + 2.0 * log_add(0.5 * l_ratio, math.log(n - 1)) - math.log(n)
 
 
 def svdb_log(W: Workload) -> float:

@@ -3,8 +3,10 @@
 The strategy mechanism answers a workload W by submitting a strategy A to the
 Gaussian mechanism and recovering W's answers via W A^+. Its total error
 (sum of per-query MSE) is P(eps, delta) * sens(A)^2 * trace(G_W pinv(G_A)),
-which this module evaluates exactly, including a scaled log-space path for
-workloads far outside float range, and validates by Monte-Carlo.
+and the trace is sum_g Q_g / mu_g over A's eigenspaces g, with mu_g A's
+eigenvalue on g and Q_g the trace of G_W on g. Every storage form provides
+these terms, with a log scale for those beyond float range, and the error is
+evaluated from them on one path. Monte-Carlo runs validate it.
 """
 
 import math
@@ -22,13 +24,8 @@ from .exceptions import (
     NonFinite,
     SupportViolation,
 )
-from .logspace import json_num, log_add, log_sub, log10_of, to_float
-from .numkernel import (
-    EIG_ZERO_REL,
-    pinv_trace_and_residual,
-    pseudoinverse,
-    quadratic_forms,
-)
+from .logspace import json_num, log10_of, to_float
+from .numkernel import pinv_trace_and_residual, pseudoinverse, quadratic_forms
 from .privacy import PrivacyParams, p_factor_of
 from .workloads import Workload
 
@@ -76,13 +73,10 @@ def sensitivity(A, norm: str = "l2") -> float:
     norm = norm.lower()
     if norm not in ("l1", "l2"):
         raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
-    if A.is_explicit:
-        M = A.matrix
-        if norm == "l2":
-            return float(np.sqrt(np.max(np.sum(M * M, axis=0), initial=0.0)))
-        return float(np.max(np.sum(np.abs(M), axis=0), initial=0.0))
     if norm == "l1":
-        raise GramOnlyL1("L1 sensitivity needs explicit rows, not just a Gram")
+        if not A.is_explicit:
+            raise GramOnlyL1("L1 sensitivity needs explicit rows, not just a Gram")
+        return float(np.max(np.sum(np.abs(A.matrix), axis=0), initial=0.0))
     if A.uniform is not None:
         return to_float(0.5 * A.uniform.log_diag)
     return float(np.sqrt(np.max(A.gram_diag(), initial=0.0)))
@@ -92,25 +86,50 @@ def _sens_sq_log(A: Workload) -> float:
     """ln of the squared L2 sensitivity, exact for every representation."""
     if A.uniform is not None:
         return A.uniform.log_diag
-    top = float(np.max(A.gram_diag(), initial=0.0)) if not A.is_explicit \
-        else float(np.max(np.sum(A.matrix * A.matrix, axis=0), initial=0.0))
+    top = float(np.max(A.gram_diag(), initial=0.0))
     return math.log(top) if top > 0 else -math.inf
 
 
-def _pinv_trace_inputs(W: Workload, A: Workload) -> tuple:
-    """pinv_trace_and_residual inputs (quads, values, total) for G_W and G_A.
+def _constant_and_trace(W: Workload) -> tuple:
+    """(ln scale, 1'G_W 1 / n, trace(G_W)), the last two divided by exp(scale)."""
+    if W.uniform is not None:
+        l_gap, l_ratio = W.uniform.log_spectrum(W.n)
+        ratio = math.exp(l_ratio)
+        return l_gap, ratio, ratio + (W.n - 1)
+    return 0.0, float(np.sum(W.gram)) / W.n, W.gram_trace()
 
-    When W and A are products over the same factor sizes, each is the
-    Kronecker product (or, for the trace, the product) of the factors'
-    inputs, so nothing n x n is formed; otherwise G_A's eigenpairs give them.
+
+def _pinv_trace_inputs(W: Workload, A: Workload) -> tuple:
+    """(ln scale, quads, values, total) with trace(G_W pinv(G_A)) equal to
+    exp(scale) times pinv_trace_and_residual(quads, values, total).
+
+    The strategy's form gives the eigenspaces:
+    - aligned products (W and A over the same factor sizes): Kronecker
+      products of the factors' terms, so nothing n x n is formed;
+    - a uniform strategy: the constant vector and its complement, with
+      eigenvalues gap * ratio and gap, the gap carried on the scale;
+    - otherwise G_A's eigenvectors, on which a uniform G_W = gap (I + r 11')
+      has forms gap (1 + r (1'v)^2). Their sum over the complete basis is
+      the total, so a full-rank strategy leaves a residual of exactly 0.
     """
     if W.factors is not None and A.factors is not None and \
             [f.n for f in W.factors] == [f.n for f in A.factors]:
-        quads, values, totals = zip(*[_pinv_trace_inputs(w, a)
-                                      for w, a in zip(W.factors, A.factors)])
-        return reduce(np.kron, quads), reduce(np.kron, values), math.prod(totals)
+        scales, quads, values, totals = zip(*[_pinv_trace_inputs(w, a)
+                                              for w, a in zip(W.factors, A.factors)])
+        return (sum(scales), reduce(np.kron, quads), reduce(np.kron, values),
+                math.prod(totals))
+    if A.uniform is not None:
+        l_gap, l_ratio = A.uniform.log_spectrum(A.n)
+        scale, const, total = _constant_and_trace(W)
+        return (scale - l_gap, np.array([const, total - const]),
+                np.array([math.exp(l_ratio), 1.0]), total)
     pair = A.gram_eig()
-    return quadratic_forms(W.gram, pair), pair.values, W.gram_trace()
+    if W.uniform is None:
+        return 0.0, quadratic_forms(W.gram, pair), pair.values, W.gram_trace()
+    l_gap, _ = W.uniform.log_spectrum(W.n)
+    r = math.exp(W.uniform.log_off - l_gap)
+    quads = 1.0 + r * np.sum(pair.vectors, axis=0) ** 2
+    return l_gap, quads, pair.values, float(np.sum(quads))
 
 
 def _check_data(x, n: int) -> np.ndarray:
@@ -189,8 +208,9 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
     """Exact total error P * sens(A)^2 * trace(G_W pinv(G_A)).
 
     params=None evaluates at P = 1 (the privacy-free shape of the error).
-    Workloads and strategies may each be explicit, Gram-only, or uniform;
-    combinations outside float range are evaluated fully in log space.
+    Every pairing of storage forms takes the same path, in log space: a
+    strategy that leaves more than SUPPORT_TOL_GRAM of trace(G_W) outside its
+    range raises SupportViolation.
     """
     A = _as_strategy(A)
     if A.n != W.n:
@@ -199,57 +219,14 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
     log_p = math.log(p)
     log_sens_sq = _sens_sq_log(A)
     # A's spectrum before svdb_log(W): when A is W, svdb reads the values it left
-    spectrum = None
-    if A.uniform is None:
-        spectrum = A.gram_eig() if W.uniform is not None else _pinv_trace_inputs(W, A)
+    scale, quads, values, total = _pinv_trace_inputs(W, A)
     log_svdb = svdb_log(W)
-    n = W.n
-
-    if W.uniform is None and A.uniform is None:
-        trace, resid = pinv_trace_and_residual(*spectrum)
-        if resid > SUPPORT_TOL_GRAM:
-            raise SupportViolation(
-                f"strategy does not support workload: trace residual {resid:.3e} "
-                f"exceeds {SUPPORT_TOL_GRAM:.0e} (relative)")
-        log_err = log_p + log_sens_sq + (math.log(trace) if trace > 0 else -math.inf)
-    elif W.uniform is not None and A.uniform is None:
-        la, lb = W.uniform.log_diag, W.uniform.log_off
-        values, vectors = spectrum
-        top = values[0] if values.size else 0.0
-        kept = values > EIG_ZERO_REL * max(top, 0.0)
-        if int(kept.sum()) < n:
-            # the uniform Gram is positive definite, so A must have full rank
-            raise SupportViolation(
-                f"strategy rank {int(kept.sum())} cannot support a full-rank "
-                f"workload on {n} cells")
-        resid = 0.0
-        t1 = float(np.sum(1.0 / values))
-        ones_proj = np.sum(vectors, axis=0) ** 2  # (1' v_k)^2
-        t2 = float(np.sum(ones_proj / values))
-        l_dm1 = log_sub(la, lb)  # ln(diag - off)
-        r = math.exp(lb - l_dm1) if lb != -math.inf else 0.0
-        log_err = log_p + log_sens_sq + l_dm1 + math.log(t1 + r * t2)
-    elif W.uniform is None and A.uniform is not None:
-        lgd, lgo = A.uniform.log_diag, A.uniform.log_off
-        tw = W.gram_trace()
-        sw = float(np.sum(W.gram))
-        resid = 0.0  # uniform strategy Grams are positive definite
-        l_tw = math.log(tw) if tw > 0 else -math.inf
-        l_sw = math.log(sw) if sw > 0 else -math.inf
-        l_top = log_add(lgd, math.log(n - 1) + lgo) if n > 1 else lgd
-        l_term = log_sub(l_tw, lgo + l_sw - l_top) if sw > 0 else l_tw
-        log_err = log_p + lgd + l_term - log_sub(lgd, lgo)
-    else:
-        la, lb = W.uniform.log_diag, W.uniform.log_off
-        lgd, lgo = A.uniform.log_diag, A.uniform.log_off
-        resid = 0.0
-        if n == 1:
-            log_err = log_p + la
-        else:
-            term1 = math.log(n - 1) + log_sub(la, lb) - log_sub(lgd, lgo)
-            term2 = log_add(la, math.log(n - 1) + lb) \
-                - log_add(lgd, math.log(n - 1) + lgo)
-            log_err = log_p + lgd + log_add(term1, term2)
+    trace, resid = pinv_trace_and_residual(quads, values, total)
+    if resid > SUPPORT_TOL_GRAM:
+        raise SupportViolation(
+            f"strategy does not support workload: trace residual {resid:.3e} "
+            f"exceeds {SUPPORT_TOL_GRAM:.0e} (relative)")
+    log_err = log_p + log_sens_sq + scale + (math.log(trace) if trace > 0 else -math.inf)
 
     ratio = math.exp(log_err - log_p - log_svdb) if log_err != -math.inf else 0.0
     return StrategyErrorReport(

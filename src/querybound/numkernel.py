@@ -124,10 +124,11 @@ def quadratic_forms(G_W: np.ndarray, pair: EigenPair) -> np.ndarray:
 def pinv_trace_and_residual(quads: np.ndarray, values: np.ndarray, total: float) -> tuple:
     """(trace(G_W pinv(G_A)), relative trace residual of G_W off G_A's range).
 
-    values are G_A's eigenvalues in any order, quads the matching quadratic
-    forms v_k' G_W v_k and total = trace(G_W). G_A must be PSD (NotPSD
+    values are G_A's eigenvalues, one per eigenspace in any order, quads the
+    trace of G_W on each eigenspace, multiplicity included (v' G_W v for a
+    single eigenvector v), and total = trace(G_W). G_A must be PSD (NotPSD
     otherwise). Only eigenvalues above the relative cutoff are inverted. The
-    residual is the share of trace(G_W) outside the kept eigenvectors' span:
+    residual is the share of trace(G_W) outside the kept eigenspaces:
     the caller compares it with its support tolerance.
     """
     values = check_psd(values)

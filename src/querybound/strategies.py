@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimOutOfRange, ExplicitRequired, NotPowerOfTwo
-from .logspace import log_add, log_sub
+from .logspace import log_add
 from .mechanism import StrategyErrorReport, analytic_total_error
 from .numkernel import EigenPair, as_sym_matrix, clean_spectrum, psd_sqrt_of
 from .workloads import (
@@ -117,16 +117,17 @@ def haar_strategy(n: int) -> Strategy:
 
 
 def _uniform_sqrt(W: Workload) -> Workload:
-    """Square root of a constant-diagonal Gram, computed on log scales."""
+    """Square root of a constant-diagonal Gram, computed on log scales.
+
+    The root keeps the eigenspaces and takes square roots of the gap and the
+    ratio, so its off-diagonal is sqrt(gap) * (sqrt(ratio) - 1) / n.
+    """
     n = W.n
-    la, lb = W.uniform.log_diag, W.uniform.log_off
-    if n == 1:
-        return Workload.from_uniform_gram(1, 0.5 * la, -math.inf)
-    l_gap = 0.5 * log_sub(la, lb)  # sqrt(diag - off) eigenvalue
-    l_top = 0.5 * log_add(la, math.log(n - 1) + lb)
-    l_off = log_sub(l_top, l_gap) - math.log(n) if l_top > l_gap else -math.inf
-    l_diag = log_add(l_off, l_gap)
-    return Workload.from_uniform_gram(n, l_diag, l_off)
+    l_gap, l_ratio = W.uniform.log_spectrum(n)
+    l_root_gap = 0.5 * l_gap
+    excess = math.expm1(0.5 * l_ratio)
+    l_off = l_root_gap + math.log(excess) - math.log(n) if excess > 0 else -math.inf
+    return Workload.from_uniform_gram(n, log_add(l_off, l_root_gap), l_off)
 
 
 def sqrt_strategy(G, explicit: bool = False) -> Strategy:

@@ -24,7 +24,7 @@ from .exceptions import (
     NonFinite,
     NotVariableAgnostic,
 )
-from .logspace import to_float
+from .logspace import log_add, log_sub, to_float
 from .numkernel import EigenPair, as_sym_matrix
 
 # explicit rows give way to the Gram form beyond EXPLICIT_ENTRY_CAP matrix
@@ -49,6 +49,16 @@ class UniformGram:
 
     log_diag: float
     log_off: float
+
+    def log_spectrum(self, n: int) -> tuple:
+        """(ln gap, ln ratio) of the n-cell Gram, overflow-free.
+
+        gap = diag - off is the eigenvalue of every vector orthogonal to the
+        constant vector, and the constant vector's is gap * ratio, with
+        ratio = 1 + n * off / gap.
+        """
+        l_gap = log_sub(self.log_diag, self.log_off)
+        return l_gap, log_add(0.0, math.log(n) + self.log_off - l_gap)
 
     def materializable(self) -> bool:
         return self.log_diag < math.log(_ENTRY_LIMIT)
@@ -140,7 +150,10 @@ class Workload:
         return self._gram
 
     def gram_diag(self) -> np.ndarray:
-        """Diagonal of the Gram; a product's is the Kronecker product of its factors'."""
+        """Diagonal of the Gram: explicit rows give their column sums of
+        squares, a product the Kronecker product of its factors' diagonals."""
+        if self.matrix is not None:
+            return np.sum(self.matrix * self.matrix, axis=0)
         if self.factors is not None:
             return reduce(np.kron, [f.gram_diag() for f in self.factors])
         return np.diag(self.gram)

@@ -229,6 +229,28 @@ def test_analytic_error_uniform_requires_full_rank_strategy():
                              np.ones((1, 17)))
 
 
+def test_uniform_and_dense_forms_share_the_support_rule():
+    # G_W = 1e-6 I + J; the rank-7 strategy I - vv' (v orthogonal to the
+    # constant vector) misses 1e-6 of trace 8.000008, within the support
+    # tolerance, whichever form holds G_W
+    W = Workload.from_uniform_gram(8, math.log(1 + 1e-6), 0.0)
+    v = np.zeros(8)
+    v[:2] = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    A = np.eye(8) - np.outer(v, v)
+    lo = analytic_total_error(W, A)
+    hi = analytic_total_error(Workload.from_gram(W.uniform.materialize(8)), A)
+    np.testing.assert_allclose(lo.total_error, hi.total_error, rtol=1e-12)
+    np.testing.assert_allclose(lo.support_residual, hi.support_residual, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hi.support_residual, 1e-6 / 8.000008, rtol=1e-6)
+
+
+def test_sensitivity_of_explicit_rows_forms_no_gram():
+    W = Workload.from_matrix(MIXED_QUERIES, dedup=False)
+    np.testing.assert_array_equal(W.gram_diag(), np.sum(MIXED_QUERIES ** 2, axis=0))
+    assert sensitivity(W, "l2") == math.sqrt(3.0)
+    assert W._gram is None
+
+
 def test_report_json_fields():
     doc = analytic_total_error(all_range([2]), np.eye(2), PARAMS).to_json_dict()
     assert sorted(doc) == sorted(["sensitivity_l2", "sensitivity_l1", "p_factor",

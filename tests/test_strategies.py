@@ -208,7 +208,8 @@ def test_strategy_csv_roundtrip(tmp_path):
     A = hierarchical_strategy(4)
     path = tmp_path / "a.csv"
     save_strategy_csv(A, path)
-    assert open(path).readline().strip() == "strategy n=4"
+    with open(path) as fh:
+        assert fh.readline().strip() == "strategy n=4"
     back = load_strategy_csv(path)
     np.testing.assert_array_equal(back.matrix, A.matrix)
     with pytest.raises(ExplicitRequired):

@@ -266,7 +266,8 @@ def test_workload_csv_roundtrip_is_exact(tmp_path):
     W = Workload.from_matrix(M, dedup=False)
     path = tmp_path / "w.csv"
     save_workload_csv(W, path)
-    assert open(path).readline().strip() == "n=3"
+    with open(path) as fh:
+        assert fh.readline().strip() == "n=3"
     back = load_workload_csv(path)
     np.testing.assert_array_equal(back.matrix, W.matrix)
 
@@ -275,7 +276,8 @@ def test_gram_csv_roundtrip_is_exact(tmp_path):
     W = all_range([2048])
     path = tmp_path / "g.csv"
     save_gram_csv(W, path)
-    assert open(path).readline().strip() == "gram n=2048"
+    with open(path) as fh:
+        assert fh.readline().strip() == "gram n=2048"
     back = load_gram_csv(path)
     np.testing.assert_array_equal(back.gram, W.gram)
 
