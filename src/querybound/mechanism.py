@@ -25,7 +25,7 @@ from .exceptions import (
     SupportViolation,
 )
 from .logspace import json_num, log10_of, to_float
-from .numkernel import pinv_trace_and_residual, pseudoinverse, quadratic_forms
+from .numkernel import pinv_trace_and_residual, pseudoinverse
 from .privacy import PrivacyParams, p_factor_of
 from .workloads import Workload
 
@@ -100,36 +100,39 @@ def _constant_and_trace(W: Workload) -> tuple:
 
 
 def _pinv_trace_inputs(W: Workload, A: Workload) -> tuple:
-    """(ln scale, quads, values, total) with trace(G_W pinv(G_A)) equal to
-    exp(scale) times pinv_trace_and_residual(quads, values, total).
+    """(ln scale, quads, values) with trace(G_W pinv(G_A)) equal to exp(scale)
+    times pinv_trace_and_residual(quads, values).
 
     The strategy's form gives the eigenspaces:
     - aligned products (W and A over the same factor sizes): Kronecker
       products of the factors' terms, so nothing n x n is formed;
     - a uniform strategy: the constant vector and its complement, with
       eigenvalues gap * ratio and gap, the gap carried on the scale;
-    - otherwise G_A's eigenvectors, on which a uniform G_W = gap (I + r 11')
-      has forms gap (1 + r (1'v)^2). Their sum over the complete basis is
-      the total, so a full-rank strategy leaves a residual of exactly 0.
+    - otherwise A.gram_eig(): a closed-form basis where A's constructor
+      attached one, else an eigensolve. W gives its forms over these
+      eigenvectors: W.gram_forms (prefix sums for 1-D ranges, dense
+      otherwise), or for a uniform G_W = gap (I + r 11'), gap (1 + r (1'v)^2).
+    Every branch covers all of G_A's eigenspaces, so the quads sum to
+    trace(G_W) and a full-rank strategy leaves a residual of exactly 0.
     """
     if W.factors is not None and A.factors is not None and \
             [f.n for f in W.factors] == [f.n for f in A.factors]:
-        scales, quads, values, totals = zip(*[_pinv_trace_inputs(w, a)
-                                              for w, a in zip(W.factors, A.factors)])
-        return (sum(scales), reduce(np.kron, quads), reduce(np.kron, values),
-                math.prod(totals))
+        scales, quads, values = zip(*[_pinv_trace_inputs(w, a)
+                                      for w, a in zip(W.factors, A.factors)])
+        return sum(scales), reduce(np.kron, quads), reduce(np.kron, values)
     if A.uniform is not None:
         l_gap, l_ratio = A.uniform.log_spectrum(A.n)
         scale, const, total = _constant_and_trace(W)
         return (scale - l_gap, np.array([const, total - const]),
-                np.array([math.exp(l_ratio), 1.0]), total)
+                np.array([math.exp(l_ratio), 1.0]))
     pair = A.gram_eig()
     if W.uniform is None:
-        return 0.0, quadratic_forms(W.gram, pair), pair.values, W.gram_trace()
-    l_gap, _ = W.uniform.log_spectrum(W.n)
-    r = math.exp(W.uniform.log_off - l_gap)
-    quads = 1.0 + r * np.sum(pair.vectors, axis=0) ** 2
-    return l_gap, quads, pair.values, float(np.sum(quads))
+        scale, quads = 0.0, W.gram_forms(pair)
+    else:
+        scale, _ = W.uniform.log_spectrum(W.n)
+        r = math.exp(W.uniform.log_off - scale)
+        quads = 1.0 + r * np.sum(pair.vectors, axis=0) ** 2
+    return scale, quads, pair.values
 
 
 def _check_data(x, n: int) -> np.ndarray:
@@ -219,9 +222,9 @@ def analytic_total_error(W: Workload, A, params: PrivacyParams | None = None
     log_p = math.log(p)
     log_sens_sq = _sens_sq_log(A)
     # A's spectrum before svdb_log(W): when A is W, svdb reads the values it left
-    scale, quads, values, total = _pinv_trace_inputs(W, A)
+    scale, quads, values = _pinv_trace_inputs(W, A)
     log_svdb = svdb_log(W)
-    trace, resid = pinv_trace_and_residual(quads, values, total)
+    trace, resid = pinv_trace_and_residual(quads, values)
     if resid > SUPPORT_TOL_GRAM:
         raise SupportViolation(
             f"strategy does not support workload: trace residual {resid:.3e} "

@@ -121,18 +121,20 @@ def quadratic_forms(G_W: np.ndarray, pair: EigenPair) -> np.ndarray:
     return np.einsum("ij,ij->j", pair.vectors, G_W @ pair.vectors)
 
 
-def pinv_trace_and_residual(quads: np.ndarray, values: np.ndarray, total: float) -> tuple:
+def pinv_trace_and_residual(quads: np.ndarray, values: np.ndarray) -> tuple:
     """(trace(G_W pinv(G_A)), relative trace residual of G_W off G_A's range).
 
-    values are G_A's eigenvalues, one per eigenspace in any order, quads the
-    trace of G_W on each eigenspace, multiplicity included (v' G_W v for a
-    single eigenvector v), and total = trace(G_W). G_A must be PSD (NotPSD
-    otherwise). Only eigenvalues above the relative cutoff are inverted. The
-    residual is the share of trace(G_W) outside the kept eigenspaces:
-    the caller compares it with its support tolerance.
+    values are G_A's eigenvalues, one per eigenspace in any order, and quads
+    the trace of G_W on each eigenspace, multiplicity included (v' G_W v for
+    a single eigenvector v). The eigenspaces must cover the whole space, so
+    the quads sum to trace(G_W). G_A must be PSD (NotPSD otherwise). Only
+    eigenvalues above the relative cutoff are inverted. The residual is the
+    share of that sum outside the kept eigenspaces (exactly 0 when every one
+    is kept): the caller compares it with its support tolerance.
     """
     values = check_psd(values)
     kept = values > EIG_ZERO_REL * values.max(initial=0.0)
+    total = float(np.sum(quads))
     covered = float(np.sum(quads[kept]))
     resid = max(0.0, total - covered) / total if total > 0 else 0.0
     trace = float(np.sum(quads[kept] / values[kept])) if kept.any() else 0.0
@@ -150,5 +152,4 @@ def pinv_trace(G_W, G_A) -> float:
     if G_W.shape != pair.vectors.shape:
         raise DimensionMismatch(f"Gram shapes differ: {G_W.shape} vs {pair.vectors.shape}")
     check_psd(sym_eig(G_W).values)
-    return pinv_trace_and_residual(quadratic_forms(G_W, pair), pair.values,
-                                   float(np.trace(G_W)))[0]
+    return pinv_trace_and_residual(quadratic_forms(G_W, pair), pair.values)[0]

@@ -47,12 +47,60 @@ class Strategy:
         return self.workload.matrix
 
 
+def _helmert(k: int) -> np.ndarray:
+    """k x (k-1) orthonormal contrasts; column m is (1, ..., 1, -m, 0, ...) / sqrt(m(m+1))."""
+    H = np.zeros((k, k - 1))
+    for m in range(1, k):
+        H[:m, m - 1] = 1.0
+        H[m, m - 1] = -m
+        H[:, m - 1] /= math.sqrt(m * (m + 1))
+    return H
+
+
+def _block_contrasts(n: int, k: int) -> np.ndarray:
+    """Orthonormal basis of n = k^j cells, as columns: the constant vector,
+    then for each block of b = n, n/k, ..., k cells the k - 1 Helmert
+    contrasts between its k children, larger blocks first. Column-major, so
+    each vector is contiguous."""
+    V = np.zeros((n, n), order="F")
+    V[:, 0] = 1.0 / math.sqrt(n)
+    H = _helmert(k)
+    cells = np.arange(n)[:, None]
+    col, b = 1, n
+    while b > 1:
+        c = b // k
+        V[cells, col + (cells // b) * (k - 1) + np.arange(k - 1)] = \
+            H[(cells[:, 0] % b) // c] / math.sqrt(c)
+        col += n // b * (k - 1)
+        b = c
+    return V
+
+
+def _block_spectrum(n: int, k: int, constant, contrast) -> np.ndarray:
+    """Eigenvalues in _block_contrasts order: constant on the constant vector,
+    contrast(b) on each of the (k-1) n/b contrasts of the b-cell blocks."""
+    values, b = [constant], n
+    while b > 1:
+        values += [contrast(b)] * (n // b * (k - 1))
+        b //= k
+    return np.array(values, dtype=np.float64)
+
+
+def _is_power(n: int, k: int) -> bool:
+    while n % k == 0:
+        n //= k
+    return n == 1
+
+
 def identity_strategy(n: int) -> Strategy:
-    """One query per cell: the baseline strategy."""
+    """One query per cell: the baseline strategy. Its Gram is I: mu = 1 on
+    the standard basis."""
     if n < 1:
         raise DimOutOfRange(f"n must be >= 1, got {n}")
     check_gram_cells(n)
-    return Strategy("identity", Workload.from_matrix(np.eye(n), dedup=False))
+    A = Workload.from_matrix(np.eye(n), dedup=False)
+    A._attach_basis(np.ones(n), lambda: np.eye(n, order="F"))
+    return Strategy("identity", A)
 
 
 def workload_strategy(W: Workload) -> Strategy:
@@ -66,7 +114,9 @@ def hierarchical_strategy(n: int, fanout: int = 2) -> Strategy:
     The root sums the whole domain, leaves are singletons, and uneven splits
     give the last child the remainder, so the depth is ceil(log_fanout n)+1
     levels and each cell appears in exactly that many rows when n is a power
-    of fanout.
+    of fanout. Such a regular tree has closed-form eigenpairs on the block
+    contrasts: (b-1)/(k-1) on those of a b-cell block, (nk-1)/(k-1) on the
+    constant vector (Hay et al., VLDB 2010).
     """
     n, fanout = int(n), int(fanout)
     if n < 1:
@@ -89,15 +139,22 @@ def hierarchical_strategy(n: int, fanout: int = 2) -> Strategy:
     M = np.zeros((len(nodes), n))
     for r, (lo, size) in enumerate(nodes):
         M[r, lo:lo + size] = 1.0
-    return Strategy(f"hierarchical(fanout={fanout})",
-                    Workload.from_matrix(M, dedup=False))
+    A = Workload.from_matrix(M, dedup=False)
+    if _is_power(n, fanout):
+        k = fanout
+        values = _block_spectrum(n, k, (n * k - 1) // (k - 1), lambda b: (b - 1) // (k - 1))
+        A._attach_basis(values, lambda: _block_contrasts(n, k))
+    return Strategy(f"hierarchical(fanout={fanout})", A)
 
 
 def haar_strategy(n: int) -> Strategy:
     """Unnormalized Haar wavelet rows: a total row plus +1/-1 half-blocks.
 
     Every column carries exactly log2(n) + 1 nonzero entries, all of
-    magnitude one, so the squared L2 sensitivity is log2(n) + 1.
+    magnitude one, so the squared L2 sensitivity is log2(n) + 1. The rows are
+    orthogonal, so the Gram's eigenvectors are the normalized rows: b on a
+    contrast of b cells and n on the constant vector (Xiao, Wang and Gehrke,
+    ICDE 2010).
     """
     n = int(n)
     if n < 1 or n & (n - 1):
@@ -113,7 +170,9 @@ def haar_strategy(n: int) -> Strategy:
             M[r, start + half:start + block] = -1.0
             r += 1
         block = half
-    return Strategy("haar", Workload.from_matrix(M, dedup=False))
+    A = Workload.from_matrix(M, dedup=False)
+    A._attach_basis(_block_spectrum(n, 2, n, lambda b: b), lambda: _block_contrasts(n, 2))
+    return Strategy("haar", A)
 
 
 def _uniform_sqrt(W: Workload) -> Workload:
@@ -137,8 +196,10 @@ def sqrt_strategy(G, explicit: bool = False) -> Strategy:
     collapses to P * svdb exactly when the tightness certificate holds.
     Accepts a Gram matrix or a Workload; explicit=True realizes the strategy
     as the symmetric fourth root for use in the sampling mechanisms. Both
-    roots come from one eigensolve: a Workload's own (which also fills the
-    spectrum cache svdb reads), or that of the validated matrix.
+    roots come from the workload's eigenpairs (G.gram_eig(), which also
+    fills the spectrum cache svdb reads) or one eigensolve of the validated
+    matrix, and keep them: the root's Gram carries the basis
+    (sqrt(clean_spectrum(values)), vectors), so evaluating it solves nothing.
     """
     if isinstance(G, Strategy):
         G = G.workload
@@ -152,10 +213,13 @@ def sqrt_strategy(G, explicit: bool = False) -> Strategy:
         pair = G.gram_eig()
     else:
         pair = EigenPair.of_symmetric(as_sym_matrix(G))
+    root = EigenPair(np.sqrt(clean_spectrum(pair.values)), pair.vectors)
     if explicit:
-        fourth = psd_sqrt_of(EigenPair(np.sqrt(clean_spectrum(pair.values)), pair.vectors))
-        return Strategy("sqrt", Workload.from_matrix(fourth, dedup=False))
-    return Strategy("sqrt", _exact_gram(psd_sqrt_of(pair)))
+        A = Workload.from_matrix(psd_sqrt_of(root), dedup=False)  # the fourth root
+    else:
+        A = _exact_gram(psd_sqrt_of(pair))
+    A._attach_basis(root.values, lambda: root.vectors)
+    return Strategy("sqrt", A)
 
 
 def kron_strategy(parts) -> Strategy:

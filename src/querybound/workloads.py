@@ -25,7 +25,7 @@ from .exceptions import (
     NotVariableAgnostic,
 )
 from .logspace import log_add, log_sub, to_float
-from .numkernel import EigenPair, as_sym_matrix
+from .numkernel import EigenPair, as_sym_matrix, quadratic_forms
 
 # explicit rows give way to the Gram form beyond EXPLICIT_ENTRY_CAP matrix
 # entries (kron_product, all_range) or, for data cubes, EXPLICIT_CELL_CAP cells
@@ -37,6 +37,9 @@ GRAM_CELL_CAP = 8192
 
 # largest materializable Gram entry before closed forms take over
 _ENTRY_LIMIT = 1e300
+
+# `gram` argument of a form whose n x n Gram is formed only when `gram` is read
+_LAZY = object()
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,21 @@ class Workload:
     A product formed by kron_product keeps its flattened factors in
     `factors` (None otherwise): its spectrum, Gram diagonal and trace are
     assembled from theirs, and a Gram-form product forms its n x n Gram only
-    when `gram` is read.
+    when `gram` is read. A constructor that knows its Gram's eigenpairs in
+    closed form attaches them (_attach_basis); no copy or projection
+    inherits them.
     """
 
     def __init__(self, n, matrix=None, gram=None, uniform=None, query_count=None,
                  labels=None):
         self.n = int(n)
         self.matrix = matrix
-        self._gram = gram
+        self._gram = None if gram is _LAZY else gram
         self.uniform = uniform
         self._query_count = query_count
         self.labels = labels
         self._gram_eigvals = None
+        self._basis = None  # builds the eigenvectors of the cached eigenvalues
         self.factors = None
         if self.n < 1:
             raise DimOutOfRange(f"cell count must be >= 1, got {n}")
@@ -136,18 +142,20 @@ class Workload:
     def gram(self) -> np.ndarray:
         """Concrete n x n Gram; materializes uniform forms when finite."""
         if self._gram is None:
-            if self.matrix is not None:
-                check_gram_cells(self.n)
-                G = self.matrix.T @ self.matrix
-                G = 0.5 * (G + G.T)
-            elif self.factors is not None:
-                # exactly symmetric factors: so is their Kronecker product
-                G = reduce(np.kron, [f.gram for f in self.factors])
-            else:
-                G = self.uniform.materialize(self.n)
+            G = self._form_gram()
             G.setflags(write=False)
             self._gram = G
         return self._gram
+
+    def _form_gram(self) -> np.ndarray:
+        if self.matrix is not None:
+            check_gram_cells(self.n)
+            G = self.matrix.T @ self.matrix
+            return 0.5 * (G + G.T)
+        if self.factors is not None:
+            # exactly symmetric factors: so is their Kronecker product
+            return reduce(np.kron, [f.gram for f in self.factors])
+        return self.uniform.materialize(self.n)
 
     def gram_diag(self) -> np.ndarray:
         """Diagonal of the Gram: explicit rows give their column sums of
@@ -164,12 +172,17 @@ class Workload:
             return math.prod(f.gram_trace() for f in self.factors)
         return float(np.trace(self.gram))
 
+    def gram_forms(self, pair: EigenPair) -> np.ndarray:
+        """v' G v for every eigenvector column v of pair."""
+        return quadratic_forms(self.gram, pair)
+
     def gram_eigvals(self) -> np.ndarray:
         """Gram eigenvalues in ascending order, solved for once per workload.
 
-        A product sorts the products of its factors' eigenvalues instead.
-        Only values are kept: a cached n x n eigenvector matrix would double
-        the memory a dense workload holds.
+        A closed-form basis gives them without a solve, and a product sorts
+        the products of its factors' eigenvalues. Only values are kept: a
+        cached n x n eigenvector matrix would double the memory a dense
+        workload holds.
         """
         if self._gram_eigvals is None:
             if self.factors is not None:
@@ -182,12 +195,17 @@ class Workload:
     def gram_eig(self) -> EigenPair:
         """Eigenvalues and eigenvectors of the Gram (sym_eig order).
 
-        Every call solves afresh, but the first one leaves its values in the
-        cache that gram_eigvals reads. The Gram is not validated again: every
-        constructor symmetrizes it where it is formed or loaded. A product
-        assembles its pairs from its factors' (EigenPair.of_kron): no
-        eigensolve runs at the product size.
+        The first source that applies gives them, and none but the last
+        solves at the Gram's size:
+        - a closed-form basis its constructor attached (eigenvectors built
+          again on each call, eigenvalues from the cache);
+        - a product's factors' pairs, assembled by EigenPair.of_kron;
+        - one eigensolve per call, whose values fill the cache that
+          gram_eigvals reads. The Gram is not validated again: every
+          constructor symmetrizes it where it is formed or loaded.
         """
+        if self._basis is not None:
+            return EigenPair(self._gram_eigvals[::-1], self._basis())
         if self.factors is not None:
             pair = EigenPair.of_kron([f.gram_eig() for f in self.factors])
         else:
@@ -200,6 +218,12 @@ class Workload:
         values = np.ascontiguousarray(values)
         values.setflags(write=False)
         self._gram_eigvals = values
+
+    def _attach_basis(self, values, vectors):
+        """Closed-form eigenpairs: values non-increasing, vectors() the matching
+        orthonormal eigenvectors as columns, built on each call."""
+        self._keep_eigvals(np.asarray(values, dtype=np.float64)[::-1])
+        self._basis = vectors
 
     @property
     def frob_sq_log(self) -> float:
@@ -276,17 +300,71 @@ def kron_product(parts) -> Workload:
     else:
         check_gram_cells(n)
         counts = [p.query_count for p in parts]
-        W = Workload(n, gram=(), query_count=None if None in counts else math.prod(counts))
-        W._gram = None  # () only passed the constructor's check: .gram forms it
+        W = Workload(n, gram=_LAZY, query_count=None if None in counts else math.prod(counts))
     W.factors = tuple(f for p in parts for f in (p.factors or (p,)))
     return W
 
 
-def _all_range_1d(d: int, explicit: bool) -> Workload:
-    if explicit:
-        return Workload.from_matrix(_range_rows_1d(d), dedup=False)
-    check_gram_cells(d)
-    return _exact_gram(range_gram_1d(d), query_count=d * (d + 1) // 2)
+def _dst1_basis(d: int) -> np.ndarray:
+    """Orthonormal DST-I vectors: column k is sqrt(2/(d+1)) sin(i k pi/(d+1)).
+
+    i k is reduced modulo 2(d+1) in integers and each sine is taken at most a
+    quarter turn from its nearest zero, so every entry is accurate to rounding
+    and the zeros are exact. The matrix is symmetric; it is returned as its
+    transpose, column-major, so each eigenvector is contiguous (gram_forms
+    runs a cumulative sum down the columns).
+    """
+    m = np.arange(2 * (d + 1))
+    r = m % (d + 1)
+    table = np.sin(np.minimum(r, d + 1 - r) * (math.pi / (d + 1)))
+    table[d + 1:] *= -1.0
+    table *= math.sqrt(2.0 / (d + 1))
+    i = np.arange(1, d + 1, dtype=np.int32)  # i k <= GRAM_CELL_CAP^2 < 2^31
+    idx = np.multiply.outer(i, i)
+    idx %= 2 * (d + 1)
+    return table[idx].T
+
+
+class _AllRange1D(Workload):
+    """All d(d+1)/2 contiguous ranges of d cells, as explicit rows or a Gram.
+
+    The Gram is (d+1) T^-1, with T the Dirichlet second difference, so its
+    eigenpairs are closed form: (d+1) / (4 sin^2(k pi / (2(d+1)))) on the
+    DST-I vectors, k = 1..d. So are its diagonal i (d+1-i), its trace
+    d (d+1) (d+2) / 6 and its quadratic forms (prefix sums, gram_forms).
+    The Gram form holds no matrix until `gram` is read.
+    """
+
+    def __init__(self, d: int, explicit: bool):
+        if explicit:
+            M = _range_rows_1d(d)
+            M.setflags(write=False)
+            super().__init__(d, matrix=M, query_count=M.shape[0])
+        else:
+            check_gram_cells(d)
+            super().__init__(d, gram=_LAZY, query_count=d * (d + 1) // 2)
+        k = np.arange(1, d + 1)
+        self._attach_basis((d + 1) / (4.0 * np.sin(k * (math.pi / (2 * (d + 1)))) ** 2),
+                           lambda: _dst1_basis(d))
+
+    def _form_gram(self) -> np.ndarray:
+        return range_gram_1d(self.n)  # the rows' Gram, exactly
+
+    def gram_diag(self) -> np.ndarray:
+        i = np.arange(1, self.n + 1, dtype=np.float64)
+        return i * (self.n + 1 - i)
+
+    def gram_trace(self) -> float:
+        d = self.n
+        return float(d * (d + 1) * (d + 2) // 6)
+
+    def gram_forms(self, pair: EigenPair) -> np.ndarray:
+        """v' G v = sum over ranges (a, b] of (P_b - P_a)^2, with P the d + 1
+        prefix sums of v (P_0 = 0): (d+1) sum (P - mean P)^2, O(d) per vector."""
+        P = np.cumsum(pair.vectors, axis=0)
+        mean = np.sum(P, axis=0) / (self.n + 1)
+        P -= mean
+        return (self.n + 1) * (np.einsum("ij,ij->j", P, P) + mean * mean)
 
 
 def all_range(dims) -> Workload:
@@ -300,7 +378,7 @@ def all_range(dims) -> Workload:
     # the factors take the form kron_product will give their product: one
     # dimension's rows reach 80 MB (d = 271) where only its Gram is used
     explicit = math.prod(d * (d + 1) // 2 * d for d in dims) <= EXPLICIT_ENTRY_CAP
-    return kron_product([_all_range_1d(d, explicit) for d in dims])
+    return kron_product([_AllRange1D(d, explicit) for d in dims])
 
 
 def all_predicate_gram(n: int) -> Workload:

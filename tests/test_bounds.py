@@ -380,15 +380,12 @@ def test_bound_report_uniform_is_log_space_and_tight():
     np.testing.assert_allclose(rep.looseness_factor, 1.0, rtol=0)
 
 
-def test_bound_report_and_three_evaluations_solve_four_spectra(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-
-        def counted(a, *args, _real=real, _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _real(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_bound_report_and_three_evaluations_solve_four_spectra(monkeypatch, eigensolves):
+    closed = [all_range([64]), identity_strategy(64), hierarchical_strategy(64, 2),
+              haar_strategy(64)]
+    # the same Grams without their closed-form bases: one eigensolve each
+    dense = [Workload.from_gram(range_gram_1d(64))] + \
+        [Workload.from_gram(A.workload.gram) for A in closed[1:]]
     # a workload's own Gram is symmetrized where it is formed: never re-validated
     validated = []
     real_check = numkernel.as_sym_matrix
@@ -398,11 +395,12 @@ def test_bound_report_and_three_evaluations_solve_four_spectra(monkeypatch):
         return real_check(S, *args, **kwargs)
     for module in (numkernel, workloads, strategies):
         monkeypatch.setattr(module, "as_sym_matrix", counted_check)
-    W = all_range([64])
-    bound_report(W)
-    for A in (identity_strategy(64), hierarchical_strategy(64, 2), haar_strategy(64)):
-        evaluate_strategy(W, A)
-    assert len(calls) == 4
+    for (W, *strategies_), solves in ((dense, [64] * 4), (closed, [])):
+        del eigensolves[:]
+        bound_report(W)
+        for A in strategies_:
+            evaluate_strategy(W, A)
+        assert eigensolves == solves
     assert validated == []
 
 

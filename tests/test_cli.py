@@ -206,3 +206,10 @@ def test_gram_only_workload_via_csv(tmp_path, capsys):
     assert code == 0
     from querybound import svdb
     np.testing.assert_allclose(rep["svdb"], svdb(all_range([5])), rtol=1e-10)
+
+
+def test_table2_runs_no_eigensolve_over_64_rows(tmp_path, eigensolves):
+    # every Gram of the reference workloads and strategies has a closed-form
+    # basis, per factor for the grids
+    assert cli.main(["table2", "--out", str(tmp_path / "table2.csv")]) == 0
+    assert [rows for rows in eigensolves if rows > 64] == []

@@ -1,8 +1,9 @@
 """Kronecker products keep their factors: spectra, the certificate and the
-analytic error come from per-factor eigensolves, and a Gram-form product forms
-its n x n Gram only when it is read. Also counted here: the eigensolves of the
-sqrt strategy and the validations of projected Grams, which reuse spectra and
-exactly symmetric Grams the same way."""
+analytic error come from per-factor eigenpairs (closed forms, or eigensolves
+where a factor has none), and a Gram-form product forms its n x n Gram only
+when it is read. Also counted here: the eigensolves of the sqrt strategy and
+the validations of projected Grams, which reuse spectra and exactly symmetric
+Grams the same way."""
 
 import numpy as np
 import pytest
@@ -31,17 +32,9 @@ def gram_form(monkeypatch):
     monkeypatch.setattr(workloads, "EXPLICIT_ENTRY_CAP", 0)
 
 
-def _count_eigensolves(monkeypatch):
-    """Record the row count of every dense eigensolve input."""
-    rows = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-
-        def counted(a, *args, _real=real, **kwargs):
-            rows.append(np.shape(a)[0])
-            return _real(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return rows
+def _without_basis(W):
+    """The same Gram with no closed-form eigenpairs: it is solved densely."""
+    return Workload.from_gram(W.gram, query_count=W.query_count)
 
 
 def _count_validations(monkeypatch):
@@ -69,24 +62,29 @@ def test_products_record_flattened_factors_in_both_forms(monkeypatch):
     assert data_cube([2, 3], [[1]], [1.0]).factors is None
 
 
-def test_product_spectra_need_no_eigensolve_at_the_product_size(gram_form, monkeypatch):
-    W = all_range([4, 3])
+def test_product_spectra_need_no_eigensolve_at_the_product_size(gram_form, eigensolves):
     dense = np.kron(range_gram_1d(4), range_gram_1d(3))
-    rows = _count_eigensolves(monkeypatch)
-    values, vectors = W.gram_eig()
-    assert max(rows) <= 4
-    assert np.all(np.diff(values) <= 0)
-    np.testing.assert_allclose((vectors * values) @ vectors.T, dense, atol=1e-10)
-    np.testing.assert_allclose(W.gram_eigvals(), np.linalg.eigvalsh(dense), rtol=1e-12)
-    np.testing.assert_array_equal(W.gram_diag(), np.diag(dense))
-    assert W.gram_trace() == np.trace(dense)
+    closed = all_range([4, 3])
+    solved = kron_product([_without_basis(f) for f in closed.factors])
+    for W, solves in ((solved, [4, 3]), (closed, [])):
+        del eigensolves[:]
+        values, vectors = W.gram_eig()
+        assert eigensolves == solves
+        assert np.all(np.diff(values) <= 0)
+        np.testing.assert_allclose((vectors * values) @ vectors.T, dense, atol=1e-10)
+        np.testing.assert_allclose(W.gram_eigvals(), np.linalg.eigvalsh(dense), rtol=1e-12)
+        np.testing.assert_array_equal(W.gram_diag(), np.diag(dense))
+        assert W.gram_trace() == np.trace(dense)
 
 
-def test_nothing_n_by_n_when_workload_and_strategy_are_products(gram_form, monkeypatch):
-    W = all_range([8, 4])
-    strategies_ = [kron_strategy([make(d) for d in (8, 4)])
-                   for make in (identity_strategy, hierarchical_strategy, haar_strategy)]
-    rows = _count_eigensolves(monkeypatch)
+def test_nothing_n_by_n_when_workload_and_strategy_are_products(gram_form, monkeypatch,
+                                                                eigensolves):
+    makers = (identity_strategy, hierarchical_strategy, haar_strategy)
+    closed = [all_range([8, 4])] + [kron_strategy([make(d) for d in (8, 4)])
+                                    for make in makers]
+    # the same factor Grams with no closed-form eigenpairs: solved per factor
+    solved = [kron_product([_without_basis(f) for f in X.factors])
+              for X in (closed[0], *(A.workload for A in closed[1:]))]
     sizes = []
     real_kron = np.kron
 
@@ -95,12 +93,14 @@ def test_nothing_n_by_n_when_workload_and_strategy_are_products(gram_form, monke
         sizes.append(out.size)
         return out
     monkeypatch.setattr(np, "kron", counted_kron)
-    bound_report(W)
-    for A in strategies_:
-        evaluate_strategy(W, A)
-    assert rows and max(rows) <= 8
-    assert sizes and max(sizes) <= 32
-    assert W._gram is None
+    for (W, *strategies_), solves in ((solved, [8, 4] * 4), (closed, [])):
+        del eigensolves[:], sizes[:]
+        bound_report(W)
+        for A in strategies_:
+            evaluate_strategy(W, A)
+        assert eigensolves == solves
+        assert sizes and max(sizes) <= 32
+        assert W._gram is None
 
 
 def test_unaligned_factors_take_the_dense_path():
@@ -113,12 +113,19 @@ def test_unaligned_factors_take_the_dense_path():
         np.testing.assert_allclose(rep.total_error, ref.total_error, rtol=1e-12)
 
 
-def test_sqrt_strategy_solves_twice_and_validates_nothing(monkeypatch, capsys):
-    rows = _count_eigensolves(monkeypatch)
+def test_sqrt_strategy_solves_once_and_validates_nothing(monkeypatch, capsys, eigensolves):
+    # the root keeps the workload's eigenpairs: only a workload without a
+    # closed form is solved, once
+    W = Workload.from_gram(range_gram_1d(64))
     validated = _count_validations(monkeypatch)
-    assert cli.main(["eval", "--workload", "all-range", "--cells", "64",
-                     "--strategy", "sqrt"]) == 0
-    assert len(rows) == 2
+    evaluate_strategy(W, sqrt_strategy(W))
+    assert eigensolves == [64]
+    for argv, solves in ((["--workload", "data-cube", "--dims", "4,5", "--cuboids", "1;2;"],
+                          [20]),
+                         (["--workload", "all-range", "--cells", "64"], [])):
+        del eigensolves[:]
+        assert cli.main(["eval", *argv, "--strategy", "sqrt"]) == 0
+        assert eigensolves == solves
     assert validated == []
 
 

@@ -23,6 +23,7 @@ from querybound import (
     gaussian_mechanism,
     hierarchical_strategy,
     matrix_mechanism,
+    range_gram_1d,
     sensitivity,
     svdb,
 )
@@ -327,18 +328,11 @@ def test_noise_streams_are_splittable_and_reproducible():
     assert not np.array_equal(a, noise.sample(4, trial=8))
 
 
-def test_workload_as_its_own_strategy_solves_one_spectrum(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-
-        def counted(a, *args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    W = all_range([73])
-    rep = analytic_total_error(W, W)
-    assert calls == ["eigh"]
-    monkeypatch.undo()
-    np.testing.assert_allclose(rep.ratio_to_svdb,
-                               rep.total_error / svdb(all_range([73])), rtol=1e-12)
+def test_workload_as_its_own_strategy_solves_one_spectrum(eigensolves):
+    # the Gram without its closed-form basis solves once; the basis solves nothing
+    for W, solves in ((Workload.from_gram(range_gram_1d(73)), [73]), (all_range([73]), [])):
+        del eigensolves[:]
+        rep = analytic_total_error(W, W)
+        assert eigensolves == solves
+        np.testing.assert_allclose(rep.ratio_to_svdb,
+                                   rep.total_error / svdb(all_range([73])), rtol=1e-12)

@@ -4,10 +4,12 @@ Factor entries are small integers, so every Gram entry is an exact integer
 sum in float64 and the explicit and Gram-only forms of a product must agree
 bit for bit, not just to a tolerance. Quantities a product assembles from its
 factors agree with the dense path on the same Gram to rounding, and so do
-the uniform log-space form and its materialized Gram. The analytic error
-never falls below the spectral bound, and sqrt(svdb) is subadditive under
-union. Examples are drawn deterministically, so every run checks the same
-ones.
+the uniform log-space form and its materialized Gram. The closed-form
+eigenpairs of 1-D ranges, the identity, Haar and regular trees diagonalize
+their Grams, and errors through them agree with the same Grams solved
+densely. The analytic error never falls below the spectral bound, and
+sqrt(svdb) is subadditive under union. Examples are drawn deterministically,
+so every run checks the same ones.
 """
 
 import math
@@ -20,16 +22,25 @@ from hypothesis import strategies as st
 from querybound import (
     PrivacyParams,
     Workload,
+    all_predicate_gram,
+    all_range,
     analytic_total_error,
     bound_report,
+    column_project,
+    data_cube,
+    haar_strategy,
     hierarchical_strategy,
+    identity_strategy,
     kron_product,
     kron_strategy,
+    range_gram_1d,
+    sqrt_strategy,
     svdb,
     svdb_log,
     union,
     workloads,
 )
+from querybound.numkernel import EigenPair, quadratic_forms
 from querybound.strategies import _uniform_sqrt
 
 factor = st.integers(1, 4).flatmap(lambda n: st.integers(1, 4).flatmap(
@@ -154,3 +165,98 @@ def test_sqrt_svdb_is_subadditive_under_union(pair):
     W1, W2 = (Workload.from_matrix(M) for M in pair)
     joint = math.sqrt(svdb(union(W1, W2)))
     assert joint <= (math.sqrt(svdb(W1)) + math.sqrt(svdb(W2))) * (1 + 1e-12) + 1e-12
+
+
+def _range(d, gram_form):
+    with pytest.MonkeyPatch.context() as mp:
+        if gram_form:
+            mp.setattr(workloads, "EXPLICIT_ENTRY_CAP", 0)
+        W = all_range([d])
+    assert W.is_explicit != gram_form
+    return W
+
+
+# the cell counts of the regular trees: n = k^j <= 256
+TREE_SIZES = {k: [k ** j for j in range(9) if k ** j <= 256] for k in (2, 3, 4)}
+
+
+@st.composite
+def closed_forms(draw):
+    """A workload or strategy with a closed-form basis, and its Gram formed densely."""
+    kind = draw(st.sampled_from(["range", "identity", "haar", "tree"]))
+    if kind == "range":
+        d = draw(st.integers(1, 64))
+        return _range(d, draw(st.booleans())), range_gram_1d(d)
+    if kind == "identity":
+        A = identity_strategy(draw(st.integers(1, 64)))
+    elif kind == "haar":
+        A = haar_strategy(draw(st.sampled_from(TREE_SIZES[2])))
+    else:
+        k = draw(st.sampled_from([2, 3, 4]))
+        A = hierarchical_strategy(draw(st.sampled_from(TREE_SIZES[k])), k)
+    return A.workload, A.matrix.T @ A.matrix
+
+
+@SETTINGS
+@given(closed_forms())
+def test_closed_form_eigenpairs_diagonalize_their_grams(case):
+    X, G = case
+    values, vectors = X.gram_eig()
+    assert np.max(np.abs(G @ vectors - vectors * values)) <= 1e-12 * np.max(np.abs(G))
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(X.n), rtol=0, atol=1e-12)
+    assert np.all(np.diff(values) <= 0)
+    np.testing.assert_array_equal(X.gram_eigvals(), values[::-1])
+
+
+@st.composite
+def workload_and_closed_strategy(draw):
+    """A workload on a regular tree's cell count and a strategy with a closed-form basis."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.sampled_from(TREE_SIZES[k]))
+    kind = draw(st.sampled_from(["range", "explicit", "predicate"]))
+    if kind == "range":
+        W = _range(n, draw(st.booleans()))
+    elif kind == "explicit" or n < 17:  # all-predicate takes the uniform form from 17
+        W = Workload.from_matrix(draw(_matrices(st.integers(1, 4), n)), dedup=False)
+    else:
+        W = all_predicate_gram(n)
+    strategies_ = [identity_strategy(n), hierarchical_strategy(n, k), sqrt_strategy(W)]
+    if k == 2:
+        strategies_.append(haar_strategy(n))
+    if kind == "range":
+        strategies_.append(W)
+    return W, draw(st.sampled_from(strategies_))
+
+
+@SETTINGS
+@given(workload_and_closed_strategy())
+def test_errors_through_closed_forms_match_the_dense_twins(pair):
+    W, A = pair
+    A = getattr(A, "workload", A)
+    Wd = Workload.from_gram(W.uniform.materialize(W.n) if W.uniform else W.gram)
+    rep, dense = analytic_total_error(W, A), analytic_total_error(Wd, Workload.from_gram(A.gram))
+    np.testing.assert_allclose(rep.total_error, dense.total_error, rtol=1e-9)
+    np.testing.assert_allclose(rep.support_residual, dense.support_residual, rtol=0,
+                               atol=1e-12)
+
+
+@SETTINGS
+@given(st.integers(1, 64), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_range_forms_by_prefix_sums_match_the_dense_forms(d, gram_form, seed):
+    W = _range(d, gram_form)
+    rng = np.random.default_rng(seed)
+    for vectors in (rng.standard_normal((d, 2 * d)), W.gram_eig().vectors,
+                    identity_strategy(d).workload.gram_eig().vectors):
+        pair = EigenPair(np.zeros(vectors.shape[1]), vectors)
+        np.testing.assert_allclose(W.gram_forms(pair), quadratic_forms(range_gram_1d(d), pair),
+                                   rtol=1e-12)
+
+
+def test_irregular_trees_and_derived_workloads_carry_no_basis(eigensolves):
+    W = all_range([12])
+    for X in (hierarchical_strategy(12, 2).workload, hierarchical_strategy(8, 3).workload,
+              column_project(W, range(1, 13)), Workload.from_gram(W.gram),
+              data_cube([3, 4], [[1]], [1.0])):
+        del eigensolves[:]
+        X.gram_eig()
+        assert eigensolves == [X.n]
