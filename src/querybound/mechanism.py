@@ -31,6 +31,8 @@ from .workloads import Workload
 
 SUPPORT_TOL_MATRIX = 1e-7  # relative Frobenius residual of W A^+ A - W
 SUPPORT_TOL_GRAM = 1e-6  # relative trace residual of G_W off A's row space
+TRIAL_CAP = 10 ** 7  # Monte-Carlo trials per request: 80 MB of per-trial errors
+BLOCK_FLOATS = 2 ** 16  # floats per block of noise draws or strategy rows
 
 
 class GaussianNoise:
@@ -76,10 +78,20 @@ def sensitivity(A, norm: str = "l2") -> float:
     if norm == "l1":
         if not A.is_explicit:
             raise GramOnlyL1("L1 sensitivity needs explicit rows, not just a Gram")
-        return float(np.max(np.sum(np.abs(A.matrix), axis=0), initial=0.0))
+        return float(np.max(_column_abs_sums(A.matrix), initial=0.0))
     if A.uniform is not None:
         return to_float(0.5 * A.uniform.log_diag)
     return float(np.sqrt(np.max(A.gram_diag(), initial=0.0)))
+
+
+def _column_abs_sums(M: np.ndarray) -> np.ndarray:
+    """Column sums of |M|, accumulated over blocks of rows so that no
+    temporary is larger than BLOCK_FLOATS."""
+    rows = max(1, BLOCK_FLOATS // max(M.shape[1], 1))
+    sums = np.zeros(M.shape[1])
+    for i in range(0, M.shape[0], rows):
+        sums += np.abs(M[i:i + rows]).sum(axis=0)
+    return sums
 
 
 def _sens_sq_log(A: Workload) -> float:
@@ -163,7 +175,9 @@ def _recovery_matrix(W: Workload, A: Workload) -> np.ndarray:
         raise DimensionMismatch(f"strategy covers {A.n} cells, workload {W.n}")
     WA = W.matrix @ pseudoinverse(A.matrix)
     w_norm = float(np.linalg.norm(W.matrix))
-    resid = float(np.linalg.norm(WA @ A.matrix - W.matrix))
+    R = WA @ A.matrix
+    R -= W.matrix  # in place: one m_W x n temporary, not two
+    resid = float(np.linalg.norm(R))
     if resid > SUPPORT_TOL_MATRIX * max(w_norm, 1e-300):
         raise SupportViolation(
             f"strategy does not support workload: residual {resid:.3e} "
@@ -252,37 +266,44 @@ def equalize_columns(A) -> Workload:
     A = _as_strategy(A)
     if not A.is_explicit:
         raise ExplicitRequired("column equalization needs explicit rows")
-    M = A.matrix
-    col_sq = np.sum(M * M, axis=0)
+    col_sq = A.gram_diag()
     top = float(np.max(col_sq, initial=0.0))
     deficit = np.clip(top - col_sq, 0.0, None)
-    extra = [np.sqrt(deficit[j]) * np.eye(1, A.n, j)[0]
-             for j in range(A.n) if deficit[j] > 0]
-    if not extra:
+    short = deficit > 0
+    if not short.any():
         return A
-    return Workload.from_matrix(np.vstack([M] + extra), dedup=False)
+    extra = np.diag(np.sqrt(deficit))[short]
+    return Workload.from_matrix(np.vstack([A.matrix, extra]), dedup=False)
 
 
 def empirical_error(W: Workload, A, x, params: PrivacyParams, trials: int,
                     seed: int = 0, noise=None):
     """Monte-Carlo total squared error of the strategy mechanism.
 
-    Returns (mean, standard error) over independent trials, run serially;
-    deterministic for a fixed seed.
+    Returns (mean, standard error) over independent trials; deterministic for
+    a fixed seed. Trial t's error is |B z_t|^2 = z_t' C z_t with B = sigma W A^+
+    and C = B'B, with z_t = noise.sample(m_A, t) drawn once per trial in order.
+    The draws fill blocks of at most BLOCK_FLOATS, and each block's quadratic
+    forms take one matrix product. More than TRIAL_CAP trials are refused.
     """
     trials = int(trials)
-    if trials < 2:
-        raise DimOutOfRange(f"need at least 2 trials, got {trials}")
+    if not 2 <= trials <= TRIAL_CAP:
+        raise DimOutOfRange(f"trials must be in 2..{TRIAL_CAP}, got {trials}")
     A = _as_strategy(A)
-    WA = _recovery_matrix(W, A)
+    B = _recovery_matrix(W, A)
     _check_data(x, W.n)  # the error does not depend on x, but validate anyway
-    sigma = sensitivity(A, "l2") * params.sigma_factor
-    B = sigma * WA
+    B *= sensitivity(A, "l2") * params.sigma_factor  # sigma W A^+ (B is a fresh array)
+    C = B.T @ B
     if noise is None:
         noise = GaussianNoise(seed)
+    m = C.shape[0]
     errs = np.empty(trials)
-    for t in range(trials):
-        e = B @ np.asarray(noise.sample(B.shape[1], t), dtype=float)
-        errs[t] = e @ e
+    rows = max(1, min(trials, BLOCK_FLOATS // max(m, 1)))
+    Z = np.empty((rows, m))
+    for start in range(0, trials, rows):
+        k = min(rows, trials - start)
+        for i in range(k):
+            Z[i] = noise.sample(m, start + i)
+        errs[start:start + k] = np.einsum("ij,ij->i", Z[:k] @ C, Z[:k])
     mean = float(errs.mean())
     return mean, float(errs.std(ddof=1) / math.sqrt(trials))

@@ -161,7 +161,7 @@ class Workload:
         """Diagonal of the Gram: explicit rows give their column sums of
         squares, a product the Kronecker product of its factors' diagonals."""
         if self.matrix is not None:
-            return np.sum(self.matrix * self.matrix, axis=0)
+            return np.einsum("ij,ij->j", self.matrix, self.matrix)
         if self.factors is not None:
             return reduce(np.kron, [f.gram_diag() for f in self.factors])
         return np.diag(self.gram)

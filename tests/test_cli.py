@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from querybound import Workload, all_range, cli, save_workload_csv
+from querybound.mechanism import TRIAL_CAP
 
 BOUND_FIELDS = {"svdb", "svdb_log10", "projected_svdb", "projected_subset",
                 "tight", "diag_spread", "looseness_factor", "l1_svdb",
@@ -147,9 +148,15 @@ def test_exit_2_on_bad_specs(capsys):
 
 
 def test_exit_2_on_thread_count_beyond_the_cap(capsys):
-    # two trials: even if the check failed, the pool could start at most two threads
+    # --threads has no effect, but a value outside 1..THREAD_CAP is still refused
     assert cli.main(["run", "--workload", "all-range", "--cells", "2",
                      "--trials", "2", "--threads", "1000000"]) == 2
+    assert "DimOutOfRange" in capsys.readouterr().err
+
+
+def test_exit_2_on_trials_beyond_the_cap(capsys):
+    assert cli.main(["run", "--workload", "all-range", "--cells", "2",
+                     "--trials", str(TRIAL_CAP + 1)]) == 2
     assert "DimOutOfRange" in capsys.readouterr().err
 
 

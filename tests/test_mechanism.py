@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from querybound import (
     sensitivity,
     svdb,
 )
+from querybound.mechanism import BLOCK_FLOATS, TRIAL_CAP
+
 PARAMS = PrivacyParams(1.0, 1e-5)
 
 # a mixed query set over eight cells: one total, two half-sums, two pair
@@ -318,6 +321,60 @@ def test_empirical_error_tracks_analytic():
 def test_empirical_error_requires_two_trials():
     with pytest.raises(DimOutOfRange):
         empirical_error(all_range([2]), np.eye(2), [0.0, 0.0], PARAMS, 1)
+
+
+def _tall_pair(m_a: int):
+    """A 3-query workload on 6 cells and a random m_a-row strategy over them."""
+    rng = np.random.default_rng(m_a)
+    W = Workload.from_matrix(rng.standard_normal((3, 6)), dedup=False)
+    return W, Workload.from_matrix(rng.standard_normal((m_a, 6)), dedup=False)
+
+
+def test_empirical_error_agrees_with_a_per_trial_loop_across_blocks():
+    m_a = 3000
+    block = BLOCK_FLOATS // m_a
+    trials = 2 * block + block // 2  # two full blocks and a partial third
+    W, A = _tall_pair(m_a)
+    mean, se = empirical_error(W, A, np.zeros(6), PARAMS, trials, seed=5)
+    B = sensitivity(A) * PARAMS.sigma_factor * W.matrix @ np.linalg.pinv(A.matrix)
+    errs = np.array([np.sum((B @ GaussianNoise(5).sample(m_a, t)) ** 2)
+                     for t in range(trials)])
+    np.testing.assert_allclose(mean, errs.mean(), rtol=1e-12)
+    np.testing.assert_allclose(se, errs.std(ddof=1) / math.sqrt(trials), rtol=1e-12)
+
+
+def test_empirical_error_draws_each_trial_once_in_order():
+    class Recording(GaussianNoise):
+        def __init__(self):
+            super().__init__(0)
+            self.calls = []
+
+        def sample(self, size, trial=0):
+            self.calls.append((size, trial))
+            return super().sample(size, trial)
+
+    m_a = 5000
+    trials = 3 * (BLOCK_FLOATS // m_a) + 1
+    W, A = _tall_pair(m_a)
+    noise = Recording()
+    empirical_error(W, A, np.zeros(6), PARAMS, trials, noise=noise)
+    assert noise.calls == [(m_a, t) for t in range(trials)]
+
+
+def test_empirical_error_refuses_trials_beyond_the_cap():
+    class Refusing:
+        def sample(self, size, trial=0):
+            raise AssertionError("a trial ran")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimOutOfRange):
+            empirical_error(all_range([2]), np.eye(2), [0.0, 0.0], PARAMS,
+                            TRIAL_CAP + 1, noise=Refusing())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_noise_streams_are_splittable_and_reproducible():
