@@ -269,11 +269,27 @@ def equalize_columns(A) -> Workload:
     col_sq = A.gram_diag()
     top = float(np.max(col_sq, initial=0.0))
     deficit = np.clip(top - col_sq, 0.0, None)
-    short = deficit > 0
-    if not short.any():
+    cols = np.flatnonzero(deficit > 0)
+    if cols.size == 0:
         return A
-    extra = np.diag(np.sqrt(deficit))[short]
+    extra = np.zeros((cols.size, A.n))
+    extra[np.arange(cols.size), cols] = np.sqrt(deficit[cols])
     return Workload.from_matrix(np.vstack([A.matrix, extra]), dedup=False)
+
+
+def _r_factor(B: np.ndarray) -> np.ndarray:
+    """R factor of B's QR decomposition: K'K = B'B, with min(m_W, m_A) rows.
+
+    Taken over blocks of B's rows, each folded into the R of those before
+    it, so that a tall B is never copied whole: no temporary is much larger
+    than BLOCK_FLOATS or K itself.
+    """
+    m = B.shape[1]
+    rows = max(BLOCK_FLOATS // max(m, 1), m)
+    K = np.linalg.qr(B[:rows], mode="r")
+    for i in range(rows, B.shape[0], rows):
+        K = np.linalg.qr(np.vstack([K, B[i:i + rows]]), mode="r")
+    return K
 
 
 def empirical_error(W: Workload, A, x, params: PrivacyParams, trials: int,
@@ -281,10 +297,11 @@ def empirical_error(W: Workload, A, x, params: PrivacyParams, trials: int,
     """Monte-Carlo total squared error of the strategy mechanism.
 
     Returns (mean, standard error) over independent trials; deterministic for
-    a fixed seed. Trial t's error is |B z_t|^2 = z_t' C z_t with B = sigma W A^+
-    and C = B'B, with z_t = noise.sample(m_A, t) drawn once per trial in order.
-    The draws fill blocks of at most BLOCK_FLOATS, and each block's quadratic
-    forms take one matrix product. More than TRIAL_CAP trials are refused.
+    a fixed seed. Trial t's error is |B z_t|^2 = |K z_t|^2 with B = sigma W A^+
+    and K = _r_factor(B): K has min(m_W, m_A) rows, so neither its size nor a
+    trial's cost exceeds B's. z_t = noise.sample(m_A, t) is drawn once per
+    trial in order. The draws fill blocks of at most BLOCK_FLOATS, and each
+    block takes one matrix product. More than TRIAL_CAP trials are refused.
     """
     trials = int(trials)
     if not 2 <= trials <= TRIAL_CAP:
@@ -293,17 +310,22 @@ def empirical_error(W: Workload, A, x, params: PrivacyParams, trials: int,
     B = _recovery_matrix(W, A)
     _check_data(x, W.n)  # the error does not depend on x, but validate anyway
     B *= sensitivity(A, "l2") * params.sigma_factor  # sigma W A^+ (B is a fresh array)
-    C = B.T @ B
+    K = _r_factor(B)
     if noise is None:
         noise = GaussianNoise(seed)
-    m = C.shape[0]
+    m = K.shape[1]
     errs = np.empty(trials)
     rows = max(1, min(trials, BLOCK_FLOATS // max(m, 1)))
     Z = np.empty((rows, m))
     for start in range(0, trials, rows):
         k = min(rows, trials - start)
         for i in range(k):
-            Z[i] = noise.sample(m, start + i)
-        errs[start:start + k] = np.einsum("ij,ij->i", Z[:k] @ C, Z[:k])
+            z = np.asarray(noise.sample(m, start + i), dtype=float)
+            if z.shape != (m,):
+                raise DimensionMismatch(
+                    f"noise for trial {start + i} has shape {z.shape}, strategy needs ({m},)")
+            Z[i] = z
+        Y = Z[:k] @ K.T
+        errs[start:start + k] = np.einsum("ij,ij->i", Y, Y)
     mean = float(errs.mean())
     return mean, float(errs.std(ddof=1) / math.sqrt(trials))

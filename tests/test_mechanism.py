@@ -330,15 +330,33 @@ def _tall_pair(m_a: int):
     return W, Workload.from_matrix(rng.standard_normal((m_a, 6)), dedup=False)
 
 
+def _per_trial_errors(W, A, trials: int, seed: int) -> np.ndarray:
+    """Reference: each trial's |B z_t|^2 as its own matrix-vector product."""
+    B = sensitivity(A) * PARAMS.sigma_factor * W.matrix @ np.linalg.pinv(A.matrix)
+    return np.array([np.sum((B @ GaussianNoise(seed).sample(B.shape[1], t)) ** 2)
+                     for t in range(trials)])
+
+
 def test_empirical_error_agrees_with_a_per_trial_loop_across_blocks():
     m_a = 3000
     block = BLOCK_FLOATS // m_a
     trials = 2 * block + block // 2  # two full blocks and a partial third
     W, A = _tall_pair(m_a)
     mean, se = empirical_error(W, A, np.zeros(6), PARAMS, trials, seed=5)
-    B = sensitivity(A) * PARAMS.sigma_factor * W.matrix @ np.linalg.pinv(A.matrix)
-    errs = np.array([np.sum((B @ GaussianNoise(5).sample(m_a, t)) ** 2)
-                     for t in range(trials)])
+    errs = _per_trial_errors(W, A, trials, seed=5)
+    np.testing.assert_allclose(mean, errs.mean(), rtol=1e-12)
+    np.testing.assert_allclose(se, errs.std(ddof=1) / math.sqrt(trials), rtol=1e-12)
+
+
+def test_empirical_error_agrees_with_a_per_trial_loop_for_more_queries_than_rows():
+    # B = sigma W A^+ is 3000 x 50: its 50 x 50 R factor folds three blocks of rows
+    rng = np.random.default_rng(56)
+    A = Workload.from_matrix(rng.standard_normal((50, 40)), dedup=False)
+    W = Workload.from_matrix(rng.standard_normal((3000, 50)) @ A.matrix, dedup=False)
+    assert 2 * (BLOCK_FLOATS // 50) < 3000
+    trials = 2 * (BLOCK_FLOATS // 50) + 7  # two full blocks and a partial third
+    mean, se = empirical_error(W, A, np.zeros(40), PARAMS, trials, seed=6)
+    errs = _per_trial_errors(W, A, trials, seed=6)
     np.testing.assert_allclose(mean, errs.mean(), rtol=1e-12)
     np.testing.assert_allclose(se, errs.std(ddof=1) / math.sqrt(trials), rtol=1e-12)
 
@@ -359,6 +377,36 @@ def test_empirical_error_draws_each_trial_once_in_order():
     noise = Recording()
     empirical_error(W, A, np.zeros(6), PARAMS, trials, noise=noise)
     assert noise.calls == [(m_a, t) for t in range(trials)]
+
+
+def test_empirical_error_on_a_wide_recovery_matrix_stays_within_its_size():
+    # one query through 2048 strategy rows: B is 1 x 2048, while B'B would be
+    # 2048 x 2048 (32 MB)
+    n, copies = 32, 64
+    W = Workload.from_matrix(np.ones((1, n)), dedup=False)
+    A = Workload.from_matrix(np.vstack([np.eye(n)] * copies), dedup=False)
+    tracemalloc.start()
+    try:
+        empirical_error(W, A, np.zeros(n), PARAMS, 100, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("draw", [lambda size: 1.0,
+                                  lambda size: np.ones(1),
+                                  lambda size: np.ones(size - 1),
+                                  lambda size: np.ones((size, 1))],
+                         ids=["scalar", "length-1", "one-short", "column"])
+def test_empirical_error_refuses_a_noise_draw_of_the_wrong_shape(draw):
+    class Misshapen:
+        def sample(self, size, trial=0):
+            return draw(size)
+
+    with pytest.raises(DimensionMismatch):
+        empirical_error(all_range([3]), np.eye(3), np.zeros(3), PARAMS, 4,
+                        noise=Misshapen())
 
 
 def test_empirical_error_refuses_trials_beyond_the_cap():
