@@ -67,3 +67,7 @@ class NotPredicate(QueryBoundError):
 
 class ExplicitRequired(QueryBoundError):
     """Operation needs an explicit query matrix, not a Gram-only form."""
+
+
+class StreamMismatch(QueryBoundError):
+    """Block-derived noise seeds disagree with NumPy's SeedSequence."""

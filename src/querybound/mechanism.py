@@ -10,6 +10,7 @@ evaluated from them on one path. Monte-Carlo runs validate it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -22,6 +23,7 @@ from .exceptions import (
     ExplicitRequired,
     GramOnlyL1,
     NonFinite,
+    StreamMismatch,
     SupportViolation,
 )
 from .logspace import json_num, log10_of, to_float
@@ -35,15 +37,33 @@ TRIAL_CAP = 10 ** 7  # Monte-Carlo trials per request: 80 MB of per-trial errors
 BLOCK_FLOATS = 2 ** 16  # floats per block of noise draws or strategy rows
 
 
+# NumPy's SeedSequence hash and PCG64 seeding (numpy/random/bit_generator.pyx,
+# pcg64.c), reproduced so that a block of child streams is derived at once
+_MASK32 = 0xFFFFFFFF
+_MASK128 = 2 ** 128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix while entropy is mixed in
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash of generate_state's output
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_HASHES = 16  # hashmix calls on a 4-word pool: 4 to fill it, 4 * 3 to mix it
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+SPAWN_KEY_CAP = 2 ** 32  # trials GaussianNoise.block serves: one spawn-key word
+SEED_CHUNK = 256  # trials whose seed words are derived in one pass: bounds its temporaries
+
+
 class GaussianNoise:
     """Deterministic stream of standard normals, splittable by trial index.
 
     Each trial draws from an independent child stream derived from (seed,
-    trial), so any trial can be reproduced on its own.
+    trial), so any trial can be reproduced on its own. `generator` and
+    `sample` are the per-trial definition; `block` draws many trials at once,
+    bit for bit the same.
     """
 
     def __init__(self, seed: int = 0):
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise DimOutOfRange(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
+        self._pool = None
 
     def generator(self, trial: int = 0) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(trial),))
@@ -52,12 +72,89 @@ class GaussianNoise:
     def sample(self, size: int, trial: int = 0) -> np.ndarray:
         return self.generator(trial).standard_normal(size)
 
+    def block(self, size: int, start: int, count: int) -> np.ndarray:
+        """(count, size) array whose row i is sample(size, start + i), bit for bit.
+
+        The seed's pool is mixed once; the spawn keys of SEED_CHUNK trials at
+        a time are mixed in and hashed to their PCG64 seed words in one
+        vectorized pass; one PCG64 is reseeded per trial. The first trial's
+        words are checked against NumPy's own SeedSequence, so a change in
+        NumPy's seeding raises StreamMismatch instead of drawing different
+        streams.
+        """
+        if not 0 <= start <= start + count <= SPAWN_KEY_CAP:
+            raise DimOutOfRange(f"trials {start}..{start + count - 1} are outside "
+                                f"0..{SPAWN_KEY_CAP - 1}")
+        out = np.empty((count, size))
+        first = np.random.SeedSequence(entropy=self.seed, spawn_key=(start,))
+        bg = np.random.PCG64(first)
+        gen = np.random.Generator(bg)
+        state = {"state": 0, "inc": 0}
+        doc = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        for lo in range(0, count, SEED_CHUNK):
+            keys = np.arange(start + lo, start + min(count, lo + SEED_CHUNK), dtype=np.uint64)
+            words = _child_seed_words(*self._seed_pool(), keys)
+            if lo == 0 and not np.array_equal(words[0], first.generate_state(4, np.uint64)):
+                raise StreamMismatch(
+                    f"seed words for trial {start} differ from NumPy's SeedSequence")
+            for row, (s_hi, s_lo, i_hi, i_lo) in zip(out[lo:], words.tolist()):
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128  # pcg64_srandom_r
+                state["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+                state["inc"] = inc
+                bg.state = doc
+                gen.standard_normal(size, out=row)
+        return out
+
+    def _seed_pool(self) -> tuple:
+        """(pool, hash constant) of SeedSequence(seed) before a spawn key is
+        mixed in: the pool NumPy computes, and INIT_A advanced once per
+        hashmix so far, four per entropy word beyond the pool's four."""
+        if self._pool is None:
+            pool = [int(p) for p in np.random.SeedSequence(self.seed).pool]
+            n_words = max(1, -(-self.seed.bit_length() // 32))
+            hashes = _POOL_HASHES + 4 * max(0, n_words - 4)
+            self._pool = pool, _INIT_A * pow(_MULT_A, hashes, 2 ** 32) & _MASK32
+        return self._pool
+
+
+def _child_seed_words(pool: list, hash_a: int, keys: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(t,)).generate_state(4, uint64) for each t
+    in keys (uint64, below 2^32), as a (len(keys), 4) uint64 array.
+
+    Mixing the key word in takes one hashmix and one mix per pool word, and
+    generate_state hashes the pool cyclically into eight 32-bit words. Every
+    product is of two 32-bit words in uint64 arrays, masked back to 32 bits.
+    """
+    mask, shift = np.uint64(_MASK32), np.uint64(16)
+
+    def scramble(x, before, after):  # x ^= h; h *= MULT; x *= h; x ^= x >> 16
+        x = ((x ^ np.uint64(before)) * np.uint64(after)) & mask
+        return x ^ (x >> shift)
+
+    mixed = []
+    for p in pool:
+        nxt = hash_a * _MULT_A & _MASK32
+        h = scramble(keys, hash_a, nxt)
+        hash_a = nxt
+        x = (np.uint64(_MIX_L * p & _MASK32) - np.uint64(_MIX_R) * h) & mask
+        mixed.append(x ^ (x >> shift))
+    hashed, hash_b = [], _INIT_B
+    for i in range(8):
+        nxt = hash_b * _MULT_B & _MASK32
+        hashed.append(scramble(mixed[i % 4], hash_b, nxt))
+        hash_b = nxt
+    return np.stack([lo | (hi << np.uint64(32))
+                     for lo, hi in zip(hashed[::2], hashed[1::2])], axis=1)
+
 
 class ZeroNoise:
     """Noise stream that always returns zeros (mechanism sanity checks)."""
 
     def sample(self, size: int, trial: int = 0) -> np.ndarray:
         return np.zeros(size)
+
+    def block(self, size: int, start: int, count: int) -> np.ndarray:
+        return np.zeros((count, size))
 
 
 def _as_strategy(A) -> Workload:
@@ -147,6 +244,15 @@ def _pinv_trace_inputs(W: Workload, A: Workload) -> tuple:
     return scale, quads, pair.values
 
 
+def _check_draw(z, shape: tuple, what: str) -> np.ndarray:
+    """A noise draw as a float array of exactly `shape`: a scalar or
+    length-1 draw would otherwise broadcast one value over every query."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {z.shape}, needs {shape}")
+    return z
+
+
 def _check_data(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (n,):
@@ -163,7 +269,8 @@ def gaussian_mechanism(W: Workload, x, params: PrivacyParams, noise,
         raise ExplicitRequired("gaussian mechanism needs explicit workload rows")
     x = _check_data(x, W.n)
     sigma = sensitivity(W, "l2") * params.sigma_factor
-    z = np.asarray(noise.sample(W.matrix.shape[0], trial), dtype=float)
+    m = W.matrix.shape[0]
+    z = _check_draw(noise.sample(m, trial), (m,), f"noise for trial {trial}")
     return W.matrix @ x + sigma * z
 
 
@@ -192,7 +299,8 @@ def matrix_mechanism(W: Workload, A, x, params: PrivacyParams, noise,
     WA = _recovery_matrix(W, A)
     x = _check_data(x, W.n)
     sigma = sensitivity(A, "l2") * params.sigma_factor
-    z = np.asarray(noise.sample(A.matrix.shape[0], trial), dtype=float)
+    m = A.matrix.shape[0]
+    z = _check_draw(noise.sample(m, trial), (m,), f"noise for trial {trial}")
     return W.matrix @ x + WA @ (sigma * z)
 
 
@@ -299,33 +407,30 @@ def empirical_error(W: Workload, A, x, params: PrivacyParams, trials: int,
     Returns (mean, standard error) over independent trials; deterministic for
     a fixed seed. Trial t's error is |B z_t|^2 = |K z_t|^2 with B = sigma W A^+
     and K = _r_factor(B): K has min(m_W, m_A) rows, so neither its size nor a
-    trial's cost exceeds B's. z_t = noise.sample(m_A, t) is drawn once per
-    trial in order. The draws fill blocks of at most BLOCK_FLOATS, and each
-    block takes one matrix product. More than TRIAL_CAP trials are refused.
+    trial's cost exceeds B's. The draws z_t, t = 0..trials-1, come in blocks
+    of at most BLOCK_FLOATS from noise.block(m_A, start, k), whose row i is
+    z_(start+i), and each block takes one matrix product. More than TRIAL_CAP
+    trials are refused.
     """
     trials = int(trials)
     if not 2 <= trials <= TRIAL_CAP:
         raise DimOutOfRange(f"trials must be in 2..{TRIAL_CAP}, got {trials}")
+    if noise is None:
+        noise = GaussianNoise(seed)  # validates the seed before any work
     A = _as_strategy(A)
     B = _recovery_matrix(W, A)
     _check_data(x, W.n)  # the error does not depend on x, but validate anyway
     B *= sensitivity(A, "l2") * params.sigma_factor  # sigma W A^+ (B is a fresh array)
     K = _r_factor(B)
-    if noise is None:
-        noise = GaussianNoise(seed)
     m = K.shape[1]
     errs = np.empty(trials)
     rows = max(1, min(trials, BLOCK_FLOATS // max(m, 1)))
-    Z = np.empty((rows, m))
     for start in range(0, trials, rows):
         k = min(rows, trials - start)
-        for i in range(k):
-            z = np.asarray(noise.sample(m, start + i), dtype=float)
-            if z.shape != (m,):
-                raise DimensionMismatch(
-                    f"noise for trial {start + i} has shape {z.shape}, strategy needs ({m},)")
-            Z[i] = z
-        Y = Z[:k] @ K.T
+        Z = _check_draw(noise.block(m, start, k), (k, m),
+                        f"noise for trials {start}..{start + k - 1}")
+        Y = Z @ K.T
         errs[start:start + k] = np.einsum("ij,ij->i", Y, Y)
+        del Z, Y  # freed before the next draw: one Z and one Y live at most
     mean = float(errs.mean())
     return mean, float(errs.std(ddof=1) / math.sqrt(trials))

@@ -127,6 +127,36 @@ def test_run_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# stdout of `run ... --trials 3000 --seed 77`, byte for byte: drawing the
+# noise a block at a time must reproduce the per-trial streams exactly
+RUN_GOLDEN = [
+    (["--cells", "124", "--strategy", "identity"],
+     '"analytic": 7946153.292240144,\n  "mean": 8200087.649808484,\n  "seed": 77,\n'
+     '  "stderr": 139001.87590697498,\n  "trials": 3000,\n  "z": 1.826841227224029'),
+    (["--dims", "7,8", "--strategy", "hierarchical", "--fanout", "4"],
+     '"analytic": 199303.7132041311,\n  "mean": 199680.16784872476,\n  "seed": 77,\n'
+     '  "stderr": 1023.8998282106894,\n  "trials": 3000,\n  "z": 0.3676674555669321'),
+    (["--cells", "64", "--strategy", "sqrt"],
+     '"analytic": 295982.4240048084,\n  "mean": 299881.31728192506,\n  "seed": 77,\n'
+     '  "stderr": 2085.6493097422713,\n  "trials": 3000,\n  "z": 1.8693906300088576'),
+]
+
+
+@pytest.mark.parametrize("flags, body", RUN_GOLDEN, ids=["identity", "hierarchical", "sqrt"])
+def test_run_output_is_pinned_byte_for_byte(flags, body, capsys):
+    code = cli.main(["run", "--workload", "all-range", *flags,
+                     "--trials", "3000", "--seed", "77"])
+    assert code == 0
+    assert capsys.readouterr().out == "{\n  " + body + "\n}\n"
+
+
+def test_exit_2_on_a_negative_seed(capsys):
+    assert cli.main(["run", "--workload", "all-range", "--cells", "2",
+                     "--trials", "2", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("DimOutOfRange: seed must be a non-negative integer")
+
+
 def test_run_with_data_file(tmp_path, capsys):
     data = tmp_path / "x.csv"
     data.write_text("1\n2\n3\n")

@@ -13,6 +13,7 @@ from querybound import (
     NonFinite,
     NotPSD,
     PrivacyParams,
+    StreamMismatch,
     SupportViolation,
     Workload,
     ZeroNoise,
@@ -28,7 +29,8 @@ from querybound import (
     sensitivity,
     svdb,
 )
-from querybound.mechanism import BLOCK_FLOATS, TRIAL_CAP
+from querybound import mechanism
+from querybound.mechanism import BLOCK_FLOATS, SEED_CHUNK, SPAWN_KEY_CAP, TRIAL_CAP
 
 PARAMS = PrivacyParams(1.0, 1e-5)
 
@@ -367,16 +369,36 @@ def test_empirical_error_draws_each_trial_once_in_order():
             super().__init__(0)
             self.calls = []
 
-        def sample(self, size, trial=0):
-            self.calls.append((size, trial))
-            return super().sample(size, trial)
+        def block(self, size, start, count):
+            self.calls.append((size, start, count))
+            return super().block(size, start, count)
 
     m_a = 5000
     trials = 3 * (BLOCK_FLOATS // m_a) + 1
     W, A = _tall_pair(m_a)
     noise = Recording()
     empirical_error(W, A, np.zeros(6), PARAMS, trials, noise=noise)
-    assert noise.calls == [(m_a, t) for t in range(trials)]
+    assert len(noise.calls) == 4  # three full blocks and one trial
+    assert all(size == m_a for size, _, _ in noise.calls)
+    drawn = [t for _, start, count in noise.calls for t in range(start, start + count)]
+    assert drawn == list(range(trials))
+
+
+def test_empirical_error_seeds_once_per_block_not_per_trial(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args or kwargs)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    m_a = 64
+    blocks = 4
+    trials = (blocks - 1) * (BLOCK_FLOATS // m_a) + 5
+    W = Workload.from_matrix(np.ones((1, m_a)), dedup=False)
+    empirical_error(W, np.eye(m_a), np.zeros(m_a), PARAMS, trials, seed=3)
+    assert 0 < len(built) <= 2 * blocks  # per-trial seeding would build `trials`
 
 
 def test_empirical_error_on_a_wide_recovery_matrix_stays_within_its_size():
@@ -394,24 +416,44 @@ def test_empirical_error_on_a_wide_recovery_matrix_stays_within_its_size():
     assert peak < 4 * 2 ** 20
 
 
-@pytest.mark.parametrize("draw", [lambda size: 1.0,
-                                  lambda size: np.ones(1),
-                                  lambda size: np.ones(size - 1),
-                                  lambda size: np.ones((size, 1))],
-                         ids=["scalar", "length-1", "one-short", "column"])
+@pytest.mark.parametrize("draw", [lambda size, count: 1.0,
+                                  lambda size, count: np.ones(1),
+                                  lambda size, count: np.ones((count, size - 1)),
+                                  lambda size, count: np.ones((count * size, 1)),
+                                  lambda size, count: np.ones(count * size),
+                                  lambda size, count: np.ones((count - 1, size))],
+                         ids=["scalar", "length-1", "one-short", "column", "flat",
+                              "trial-short"])
 def test_empirical_error_refuses_a_noise_draw_of_the_wrong_shape(draw):
     class Misshapen:
-        def sample(self, size, trial=0):
-            return draw(size)
+        def block(self, size, start, count):
+            return draw(size, count)
 
     with pytest.raises(DimensionMismatch):
         empirical_error(all_range([3]), np.eye(3), np.zeros(3), PARAMS, 4,
                         noise=Misshapen())
 
 
+@pytest.mark.parametrize("draw", [lambda size: 1.0,
+                                  lambda size: np.ones(1),
+                                  lambda size: np.ones(size - 1),
+                                  lambda size: np.ones((size, 1))],
+                         ids=["scalar", "length-1", "one-short", "column"])
+def test_mechanisms_refuse_a_noise_draw_of_the_wrong_shape(draw):
+    class Misshapen:
+        def sample(self, size, trial=0):
+            return draw(size)
+
+    W = all_range([3])
+    with pytest.raises(DimensionMismatch):
+        gaussian_mechanism(W, np.zeros(3), PARAMS, Misshapen())
+    with pytest.raises(DimensionMismatch):
+        matrix_mechanism(W, np.eye(3), np.zeros(3), PARAMS, Misshapen())
+
+
 def test_empirical_error_refuses_trials_beyond_the_cap():
     class Refusing:
-        def sample(self, size, trial=0):
+        def block(self, size, start, count):
             raise AssertionError("a trial ran")
 
     tracemalloc.start()
@@ -423,6 +465,37 @@ def test_empirical_error_refuses_trials_beyond_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_noise_block_rows_are_the_per_trial_streams():
+    # the seed words are derived SEED_CHUNK trials at a time: cross a boundary
+    noise = GaussianNoise(99)
+    count = SEED_CHUNK + 2
+    rows = noise.block(5, 7, count)
+    expected = np.stack([noise.sample(5, 7 + i) for i in range(count)])
+    assert rows.shape == (count, 5) and rows.tobytes() == expected.tobytes()
+    assert noise.block(5, 7, 0).shape == (0, 5)
+    np.testing.assert_array_equal(ZeroNoise().block(5, 7, 3), np.zeros((3, 5)))
+
+
+def test_noise_block_refuses_trials_beyond_one_spawn_key_word():
+    noise = GaussianNoise(1)
+    assert noise.block(2, SPAWN_KEY_CAP - 1, 1).shape == (1, 2)
+    for start, count in ((SPAWN_KEY_CAP - 1, 2), (SPAWN_KEY_CAP, 1), (-1, 2)):
+        with pytest.raises(DimOutOfRange):
+            noise.block(2, start, count)
+
+
+def test_noise_block_raises_when_numpy_seeding_disagrees(monkeypatch):
+    monkeypatch.setattr(mechanism, "_INIT_B", mechanism._INIT_B ^ 1)
+    with pytest.raises(StreamMismatch):
+        GaussianNoise(5).block(3, 0, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_gaussian_noise_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(DimOutOfRange):
+        GaussianNoise(seed)
 
 
 def test_noise_streams_are_splittable_and_reproducible():

@@ -8,18 +8,20 @@ the uniform log-space form and its materialized Gram. The closed-form
 eigenpairs of 1-D ranges, the identity, Haar and regular trees diagonalize
 their Grams, and errors through them agree with the same Grams solved
 densely. The analytic error never falls below the spectral bound, and
-sqrt(svdb) is subadditive under union. Examples are drawn deterministically,
-so every run checks the same ones.
+sqrt(svdb) is subadditive under union. A block of noise draws equals the
+per-trial streams bit for bit. Examples are drawn deterministically, so every
+run checks the same ones.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from querybound import (
+    GaussianNoise,
     PrivacyParams,
     Workload,
     all_predicate_gram,
@@ -260,3 +262,31 @@ def test_irregular_trees_and_derived_workloads_carry_no_basis(eigensolves):
         del eigensolves[:]
         X.gram_eig()
         assert eigensolves == [X.n]
+
+
+# seeds of one, two to four, and more than four uint32 words
+noise_seeds = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1),
+                        st.integers(2 ** 32, 2 ** 128 - 1), st.integers(2 ** 128, 2 ** 200))
+
+
+@st.composite
+def trial_blocks(draw):
+    """(start, count): blocks at the first trial or ending near 2^32."""
+    count = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 40)), count
+    return 2 ** 32 - count - draw(st.integers(0, 3)), count
+
+
+@SETTINGS
+@given(noise_seeds, st.integers(1, 9), trial_blocks())
+@example(0, 1, (0, 1))
+@example(2 ** 128, 1, (2 ** 32 - 1, 1))
+@example(2 ** 64, 5, (2 ** 32 - 3, 3))
+def test_noise_block_is_the_stacked_per_trial_streams(seed, size, block):
+    start, count = block
+    noise = GaussianNoise(seed)
+    expected = np.stack([noise.generator(t).standard_normal(size)
+                         for t in range(start, start + count)])
+    drawn = noise.block(size, start, count)
+    assert drawn.shape == expected.shape and drawn.tobytes() == expected.tobytes()
