@@ -22,7 +22,7 @@ from .exceptions import (
     SubsetTooLarge,
 )
 from .logspace import json_num, log_add, log10_of, to_float
-from .numkernel import EigenPair, clean_spectrum, kron_matvec, sym_eig
+from .numkernel import clean_spectrum, kron_matvec
 from .privacy import p_factor_of
 from .workloads import UniformGram, Workload, check_subset, column_project
 
@@ -175,35 +175,24 @@ def greedy_projected_svdb(W: Workload, restarts: int = 8, seed: int = 0):
     return to_float(best[0]), best[1]
 
 
-def _sqrt_diag_and_trace(values: np.ndarray, diag_of) -> tuple:
-    """(diag(sqrt(G)), trace(sqrt(G))) from G's eigenvalues, cut off as psd_sqrt.
+def _sqrt_diag_and_trace(W: Workload) -> tuple:
+    """(diag(sqrt(G)), trace(sqrt(G))) of W's Gram G, cut off as psd_sqrt.
 
-    diag_of maps a spectrum s, in the order of values, to
-    diag(V diag(s) V') = sum_k v_ik^2 s_k over the matching eigenvectors.
-    """
-    root = np.sqrt(clean_spectrum(values))
-    return diag_of(root), float(np.sum(root))
-
-
-def _dense_root_inputs(pair: EigenPair) -> tuple:
-    """_sqrt_diag_and_trace inputs from eigenpairs: the einsum forms no n x n matrix."""
-    return pair.values, lambda root: np.einsum("ik,k,ik->i", pair.vectors, root,
-                                               pair.vectors)
-
-
-def _root_inputs(W: Workload) -> tuple:
-    """_sqrt_diag_and_trace inputs for W's Gram.
-
-    A product takes them from its factors' eigenpairs: the products of their
-    eigenvalues in Kronecker order, and the Kronecker mat-vec of their
-    squared eigenvectors, so nothing n x n is formed.
+    The diagonal is sum_k v_ik^2 sqrt(s_k) over G's eigenpairs (s_k, v_k),
+    and nothing n x n is formed. A product takes them from its factors'
+    eigenpairs: the products of their eigenvalues in Kronecker order, and
+    the Kronecker mat-vec of their squared eigenvectors. Any other workload
+    takes them from W.gram_eig() through an einsum.
     """
     if W.factors is None:
-        return _dense_root_inputs(W.gram_eig())
-    pairs = [f.gram_eig() for f in W.factors]
-    squares = [p.vectors * p.vectors for p in pairs]
-    return (reduce(np.kron, [p.values for p in pairs]),
-            lambda root: kron_matvec(squares, root))
+        pair = W.gram_eig()
+        root = np.sqrt(clean_spectrum(pair.values))
+        diag = np.einsum("ik,k,ik->i", pair.vectors, root, pair.vectors)
+    else:
+        pairs = [f.gram_eig() for f in W.factors]
+        root = np.sqrt(clean_spectrum(reduce(np.kron, [p.values for p in pairs])))
+        diag = kron_matvec([p.vectors * p.vectors for p in pairs], root)
+    return diag, float(np.sum(root))
 
 
 def _diag_spread(diag: np.ndarray) -> float:
@@ -215,9 +204,11 @@ def tightness_certificate(G) -> tuple:
     """(tight, diag_spread) from the diagonal of sqrt(G).
 
     The bound is achievable exactly when all diagonal entries of sqrt(Gram)
-    coincide; diag_spread = (max - min) / max of that diagonal.
+    coincide; diag_spread = (max - min) / max of that diagonal. G is a
+    Workload or a Gram matrix, which enters as Workload.from_gram.
     """
-    spread = _diag_spread(_sqrt_diag_and_trace(*_dense_root_inputs(sym_eig(G)))[0])
+    W = G if isinstance(G, Workload) else Workload.from_gram(G)
+    spread = _diag_spread(_sqrt_diag_and_trace(W)[0])
     return spread <= TIGHT_SPREAD_TOL, spread
 
 
@@ -226,8 +217,10 @@ def looseness_upper_bound(G, params=None) -> float:
 
     Equals n * d0 * P * svdb / trace(sqrt(G)) and is attained by the strategy
     whose Gram is sqrt(G); collapses to P * svdb when the certificate holds.
+    G is taken as in tightness_certificate.
     """
-    diag, trace = _sqrt_diag_and_trace(*_dense_root_inputs(sym_eig(G)))
+    W = G if isinstance(G, Workload) else Workload.from_gram(G)
+    diag, trace = _sqrt_diag_and_trace(W)
     return p_factor_of(params) * float(np.max(diag)) * trace
 
 
@@ -369,7 +362,7 @@ def bound_report(W: Workload, projections=None, epsilon: float = 1.0) -> BoundRe
     else:
         # the one eigensolve (one per factor for a product): it also fills the
         # spectrum cache svdb_log reads
-        d, tr = _sqrt_diag_and_trace(*_root_inputs(W))
+        d, tr = _sqrt_diag_and_trace(W)
         spread = _diag_spread(d)
         tight = spread <= TIGHT_SPREAD_TOL
         loose = W.n * float(d.max(initial=0.0)) / tr if tr > 0 else 1.0

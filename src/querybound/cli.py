@@ -29,7 +29,6 @@ from .logspace import fmt_log10, json_num
 from .mechanism import empirical_error
 from .privacy import PrivacyParams
 from .strategies import (
-    Strategy,
     evaluate_strategy,
     haar_strategy,
     hierarchical_strategy,
@@ -101,7 +100,7 @@ def build_workload(args):
     raise DimOutOfRange(f"unknown workload spec {spec!r}")
 
 
-def build_strategy(args, W: Workload, dims) -> Strategy:
+def build_strategy(args, W: Workload, dims) -> Workload:
     spec = args.strategy
     if spec.startswith("csv:"):
         return load_strategy_csv(spec[4:])
@@ -182,7 +181,7 @@ def cmd_run(args) -> int:
     A = build_strategy(args, W, dims)
     x = load_data_vector(args.data) if args.data else np.zeros(W.n)
     params = PrivacyParams(args.epsilon, args.delta)
-    mean, se = empirical_error(W, A.workload, x, params, args.trials, seed=args.seed)
+    mean, se = empirical_error(W, A, x, params, args.trials, seed=args.seed)
     analytic = evaluate_strategy(W, A, params).total_error
     z = (mean - analytic) / se if se > 0 else 0.0
     _emit_json({
@@ -276,25 +275,34 @@ def _add_common_flags(p: argparse.ArgumentParser):
                         "(requests run serially)")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="querybound",
         description="Error bounds and strategies for private linear counting queries.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, short in [
-        ("bound", cmd_bound, "spectral bound report for a workload (JSON)"),
-        ("eval", cmd_eval, "analytic error of a strategy on a workload (JSON)"),
-        ("table2", cmd_table2, "summary table over the four reference workloads (CSV)"),
-        ("run", cmd_run, "Monte-Carlo mechanism run vs the analytic value (JSON)"),
+    for name, short in [
+        ("bound", "spectral bound report for a workload (JSON)"),
+        ("eval", "analytic error of a strategy on a workload (JSON)"),
+        ("table2", "summary table over the four reference workloads (CSV)"),
+        ("run", "Monte-Carlo mechanism run vs the analytic value (JSON)"),
     ]:
-        p = sub.add_parser(name, help=short)
-        _add_common_flags(p)
-        p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
+        _add_common_flags(sub.add_parser(name, help=short))
+    return parser
+
+
+# built once per process; main only parses
+PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = PARSER.parse_args(argv)
+    # looked up on each call, so a cmd_* wrapped after import (tracing) still runs
+    fn = {"bound": cmd_bound, "eval": cmd_eval, "table2": cmd_table2,
+          "run": cmd_run}[args.command]
     try:
         if not 1 <= args.threads <= THREAD_CAP:
             raise DimOutOfRange(f"threads must be in 1..{THREAD_CAP}, got {args.threads}")
-        return args.fn(args)
+        return fn(args)
     except SupportViolation as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 4

@@ -42,7 +42,7 @@ class GramOnlyL1(QueryBoundError):
 
 
 class SupportViolation(QueryBoundError):
-    """Strategy cannot represent the workload (W A+ A != W)."""
+    """The strategy cannot represent the workload (W A+ A != W)."""
 
 
 class NotPowerOfTwo(QueryBoundError):

@@ -44,17 +44,17 @@ def log10_of(l: float) -> float:
     return l / LN10
 
 
-def fmt_log10(l10: float, sig: int = 6) -> str:
-    """Render a base-10 log as 'm.mmmmme+XXX' with sig significant digits."""
+def fmt_log10(l10: float) -> str:
+    """Render a base-10 log as 'm.mmmmme+XXX' with 6 significant digits."""
     if l10 == -math.inf:
         return "0"
     exp10 = math.floor(l10)
     mant = 10.0 ** (l10 - exp10)
     # keep the mantissa in [1, 10) despite rounding at the digit boundary
-    if mant >= 10.0 - 0.5 * 10.0 ** (2 - sig):
+    if mant >= 9.99995:
         mant /= 10.0
         exp10 += 1
-    return f"{mant:.{sig - 1}f}e{exp10:+03d}"
+    return f"{mant:.5f}e{exp10:+03d}"
 
 
 def json_num(v):

@@ -158,9 +158,7 @@ class ZeroNoise:
 
 
 def _as_strategy(A) -> Workload:
-    inner = getattr(A, "workload", None)  # unwrap tagged Strategy objects
-    if isinstance(inner, Workload):
-        return inner
+    """A strategy as a Workload; a raw matrix is taken as explicit rows."""
     if isinstance(A, Workload):
         return A
     return Workload.from_matrix(np.asarray(A, dtype=float), dedup=False)

@@ -51,10 +51,10 @@ def kron_matvec(mats, x: np.ndarray) -> np.ndarray:
     return X.reshape(-1)
 
 
-def as_sym_matrix(S, tol: float = SYM_TOL) -> np.ndarray:
+def as_sym_matrix(S) -> np.ndarray:
     """Validate a square symmetric finite matrix and return it symmetrized.
 
-    Asymmetry up to tol * max|entry| is forgiven (accumulated float error);
+    Asymmetry up to SYM_TOL * max|entry| is forgiven (accumulated float error);
     anything larger raises NonSymmetric.
     """
     S = np.asarray(S, dtype=np.float64)
@@ -64,8 +64,8 @@ def as_sym_matrix(S, tol: float = SYM_TOL) -> np.ndarray:
         raise NonFinite("matrix contains NaN or infinity")
     scale = np.max(np.abs(S)) if S.size else 0.0
     gap = np.max(np.abs(S - S.T)) if S.size else 0.0
-    if gap > tol * max(scale, 1e-300):
-        raise NonSymmetric(f"asymmetry {gap:.3e} exceeds {tol:.0e} of max entry {scale:.3e}")
+    if gap > SYM_TOL * max(scale, 1e-300):
+        raise NonSymmetric(f"asymmetry {gap:.3e} exceeds {SYM_TOL:.0e} of max entry {scale:.3e}")
     return 0.5 * (S + S.T)
 
 
@@ -74,10 +74,10 @@ def sym_eig(S) -> EigenPair:
     return EigenPair.of_symmetric(as_sym_matrix(S))
 
 
-def check_psd(values: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Clamp small negative eigenvalues to 0; raise NotPSD beyond tolerance."""
+def check_psd(values: np.ndarray) -> np.ndarray:
+    """Clamp small negative eigenvalues to 0; raise NotPSD below -PSD_TOL * max."""
     top = float(values.max(initial=0.0))
-    floor = -tol * max(top, 1e-300)
+    floor = -PSD_TOL * max(top, 1e-300)
     if values.min(initial=0.0) < floor:
         raise NotPSD(f"eigenvalue {values.min():.6e} below tolerance {floor:.3e}")
     return np.clip(values, 0.0, None)

@@ -1,22 +1,21 @@
-"""Strategy constructors and a uniform evaluator against the spectral bound.
+"""Constructors of strategies and a uniform evaluator against the spectral bound.
 
-A strategy is the query set actually submitted to the noise mechanism; the
-workload's answers are recovered from it. This module builds the standard
-ones (identity, the workload itself, fanout-k hierarchical trees, Haar
-wavelets, and the Gram-square-root strategy that achieves the certificate
-bound) and evaluates any of them analytically.
+A strategy is the query set actually submitted to the noise mechanism, held
+as a Workload like any other query set; the workload's answers are recovered
+from it. This module builds the standard ones (identity, the workload itself,
+fanout-k hierarchical trees, Haar wavelets, and the Gram-square-root strategy
+that achieves the certificate bound) and evaluates any of them analytically.
 """
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimOutOfRange, ExplicitRequired, NotPowerOfTwo
 from .logspace import log_add
-from .mechanism import StrategyErrorReport, analytic_total_error
-from .numkernel import EigenPair, as_sym_matrix, clean_spectrum, psd_sqrt_of
+from .mechanism import StrategyErrorReport, _as_strategy, analytic_total_error
+from .numkernel import EigenPair, clean_spectrum, psd_sqrt_of
 from .workloads import (
     Workload,
     _exact_gram,
@@ -25,26 +24,6 @@ from .workloads import (
     check_gram_cells,
     kron_product,
 )
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """A tagged strategy: the wrapped workload plus how it was built."""
-
-    kind: str
-    workload: Workload
-
-    @property
-    def n(self) -> int:
-        return self.workload.n
-
-    @property
-    def is_explicit(self) -> bool:
-        return self.workload.is_explicit
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.workload.matrix
 
 
 def _helmert(k: int) -> np.ndarray:
@@ -92,7 +71,7 @@ def _is_power(n: int, k: int) -> bool:
     return n == 1
 
 
-def identity_strategy(n: int) -> Strategy:
+def identity_strategy(n: int) -> Workload:
     """One query per cell: the baseline strategy. Its Gram is I: mu = 1 on
     the standard basis."""
     if n < 1:
@@ -100,15 +79,15 @@ def identity_strategy(n: int) -> Strategy:
     check_gram_cells(n)
     A = Workload.from_matrix(np.eye(n), dedup=False)
     A._attach_basis(np.ones(n), lambda: np.eye(n, order="F"))
-    return Strategy("identity", A)
+    return A
 
 
-def workload_strategy(W: Workload) -> Strategy:
+def workload_strategy(W: Workload) -> Workload:
     """Submit the workload itself as the strategy."""
-    return Strategy("workload", W)
+    return W
 
 
-def hierarchical_strategy(n: int, fanout: int = 2) -> Strategy:
+def hierarchical_strategy(n: int, fanout: int = 2) -> Workload:
     """Interval-tree strategy: one row per node of a fanout-ary tree.
 
     The root sums the whole domain, leaves are singletons, and uneven splits
@@ -144,10 +123,10 @@ def hierarchical_strategy(n: int, fanout: int = 2) -> Strategy:
         k = fanout
         values = _block_spectrum(n, k, (n * k - 1) // (k - 1), lambda b: (b - 1) // (k - 1))
         A._attach_basis(values, lambda: _block_contrasts(n, k))
-    return Strategy(f"hierarchical(fanout={fanout})", A)
+    return A
 
 
-def haar_strategy(n: int) -> Strategy:
+def haar_strategy(n: int) -> Workload:
     """Unnormalized Haar wavelet rows: a total row plus +1/-1 half-blocks.
 
     Every column carries exactly log2(n) + 1 nonzero entries, all of
@@ -172,7 +151,7 @@ def haar_strategy(n: int) -> Strategy:
         block = half
     A = Workload.from_matrix(M, dedup=False)
     A._attach_basis(_block_spectrum(n, 2, n, lambda b: b), lambda: _block_contrasts(n, 2))
-    return Strategy("haar", A)
+    return A
 
 
 def _uniform_sqrt(W: Workload) -> Workload:
@@ -189,59 +168,53 @@ def _uniform_sqrt(W: Workload) -> Workload:
     return Workload.from_uniform_gram(n, log_add(l_off, l_root_gap), l_off)
 
 
-def sqrt_strategy(G, explicit: bool = False) -> Strategy:
-    """Strategy whose Gram is the matrix square root of the workload Gram.
+def sqrt_strategy(G, explicit: bool = False) -> Workload:
+    """The strategy whose Gram is the matrix square root of the workload Gram.
 
     Its error meets the looseness upper bound d0 * trace(sqrt(G)) * P and
     collapses to P * svdb exactly when the tightness certificate holds.
-    Accepts a Gram matrix or a Workload; explicit=True realizes the strategy
-    as the symmetric fourth root for use in the sampling mechanisms. Both
-    roots come from the workload's eigenpairs (G.gram_eig(), which also
-    fills the spectrum cache svdb reads) or one eigensolve of the validated
-    matrix, and keep them: the root's Gram carries the basis
-    (sqrt(clean_spectrum(values)), vectors), so evaluating it solves nothing.
+    Accepts a Workload or a Gram matrix, which enters as Workload.from_gram;
+    explicit=True realizes the strategy as the symmetric fourth root for use
+    in the sampling mechanisms. Both roots come from G.gram_eig(), which also
+    fills the spectrum cache svdb reads, and keep its eigenpairs: the root's
+    Gram carries the basis (sqrt(clean_spectrum(values)), vectors), so
+    evaluating it solves nothing.
     """
-    if isinstance(G, Strategy):
-        G = G.workload
-    if isinstance(G, Workload):
-        if G.uniform is not None and not G.uniform.materializable():
-            if explicit:
-                raise ExplicitRequired(
-                    "sqrt strategy for this workload exceeds float range; "
-                    "only the log-space Gram form exists")
-            return Strategy("sqrt", _uniform_sqrt(G))
-        pair = G.gram_eig()
-    else:
-        pair = EigenPair.of_symmetric(as_sym_matrix(G))
+    if not isinstance(G, Workload):
+        G = Workload.from_gram(G)
+    if G.uniform is not None and not G.uniform.materializable():
+        if explicit:
+            raise ExplicitRequired(
+                "sqrt strategy for this workload exceeds float range; "
+                "only the log-space Gram form exists")
+        return _uniform_sqrt(G)
+    pair = G.gram_eig()
     root = EigenPair(np.sqrt(clean_spectrum(pair.values)), pair.vectors)
     if explicit:
         A = Workload.from_matrix(psd_sqrt_of(root), dedup=False)  # the fourth root
     else:
         A = _exact_gram(psd_sqrt_of(pair))
     A._attach_basis(root.values, lambda: root.vectors)
-    return Strategy("sqrt", A)
+    return A
 
 
-def kron_strategy(parts) -> Strategy:
-    """Kronecker product of per-dimension strategies (row-major cell order)."""
-    parts = [p if isinstance(p, Strategy) else Strategy("custom", p) for p in parts]
-    return Strategy("x".join(p.kind for p in parts),
-                    kron_product([p.workload for p in parts]))
+def kron_strategy(parts) -> Workload:
+    """Kronecker product of per-dimension strategies (row-major cell order);
+    a raw matrix part is taken as explicit strategy rows."""
+    return kron_product([_as_strategy(p) for p in parts])
 
 
 def evaluate_strategy(W: Workload, A, params=None) -> StrategyErrorReport:
     """Analytic error report of a strategy (or raw matrix) on a workload."""
-    A = A.workload if isinstance(A, Strategy) else A
     return analytic_total_error(W, A, params)
 
 
 def save_strategy_csv(A, path):
-    A = A if isinstance(A, Strategy) else Strategy("custom", A)
+    A = _as_strategy(A)
     if not A.is_explicit:
         raise ExplicitRequired("only explicit strategies serialize to CSV")
     _write_matrix_csv(A.matrix, path, "strategy")
 
 
-def load_strategy_csv(path) -> Strategy:
-    M = _read_matrix_csv(path, "strategy")
-    return Strategy("custom", Workload.from_matrix(M, dedup=False))
+def load_strategy_csv(path) -> Workload:
+    return Workload.from_matrix(_read_matrix_csv(path, "strategy"), dedup=False)

@@ -87,14 +87,12 @@ class Workload:
     inherits them.
     """
 
-    def __init__(self, n, matrix=None, gram=None, uniform=None, query_count=None,
-                 labels=None):
+    def __init__(self, n, matrix=None, gram=None, uniform=None, query_count=None):
         self.n = int(n)
         self.matrix = matrix
         self._gram = None if gram is _LAZY else gram
         self.uniform = uniform
         self._query_count = query_count
-        self.labels = labels
         self._gram_eigvals = None
         self._basis = None  # builds the eigenvectors of the cached eigenvalues
         self.factors = None
@@ -104,7 +102,7 @@ class Workload:
             raise ValueError("workload needs a matrix, a Gram, or a uniform descriptor")
 
     @classmethod
-    def from_matrix(cls, M, dedup=True, labels=None):
+    def from_matrix(cls, M, dedup=True):
         M = np.atleast_2d(np.asarray(M, dtype=np.float64))
         if M.shape[0] < 1 or M.shape[1] < 1:
             raise DimOutOfRange(f"matrix shape {M.shape} is empty")
@@ -114,7 +112,7 @@ class Workload:
             _, idx = np.unique(M, axis=0, return_index=True)
             M = M[np.sort(idx)]
         M.setflags(write=False)
-        return cls(M.shape[1], matrix=M, query_count=M.shape[0], labels=labels)
+        return cls(M.shape[1], matrix=M, query_count=M.shape[0])
 
     @classmethod
     def from_gram(cls, G, query_count=None):
@@ -457,11 +455,9 @@ def column_project(W: Workload, mu) -> Workload:
     """
     idx = check_subset(mu, W.n)
     if W.is_explicit:
-        labels = [W.labels[i] for i in idx] if W.labels else None
         M = np.ascontiguousarray(W.matrix[:, idx])
         M.setflags(write=False)
-        return Workload(len(idx), matrix=M, query_count=W.matrix.shape[0],
-                        labels=labels)
+        return Workload(len(idx), matrix=M, query_count=W.matrix.shape[0])
     if W.uniform is not None:
         return Workload(len(idx), uniform=W.uniform, query_count=W.query_count)
     # a principal submatrix of an exactly symmetric Gram is exactly symmetric
@@ -512,11 +508,12 @@ def contained_in(W1: Workload, W2: Workload) -> bool:
 
 # --- CSV interchange -------------------------------------------------------
 # Workload CSV: header "n=<int>", one comma-separated query row per line.
-# Gram CSV: header "gram n=<int>", then n rows. Strategy CSV reuses the
+# Gram CSV: header "gram n=<int>", then n rows. A strategy CSV reuses the
 # workload layout with header "strategy n=<int>". All values are written with
-# 17 significant digits so float64 round-trips bit-exactly.
+# 17 significant digits so float64 round-trips bit-exactly. _HEADERS holds
+# each header's prefix; the reader's pattern is derived from it.
 
-_HEADERS = {"workload": r"n=(\d+)", "gram": r"gram n=(\d+)", "strategy": r"strategy n=(\d+)"}
+_HEADERS = {"workload": "n=", "gram": "gram n=", "strategy": "strategy n="}
 
 
 def _fmt_row(row) -> str:
@@ -524,9 +521,8 @@ def _fmt_row(row) -> str:
 
 
 def _write_matrix_csv(M, path, kind):
-    prefix = {"workload": "n=", "gram": "gram n=", "strategy": "strategy n="}[kind]
     with open(path, "w") as fh:
-        fh.write(f"{prefix}{M.shape[1]}\n")
+        fh.write(f"{_HEADERS[kind]}{M.shape[1]}\n")
         for row in M:
             fh.write(_fmt_row(row) + "\n")
 
@@ -536,9 +532,10 @@ def _read_matrix_csv(path, kind):
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise DimOutOfRange(f"{path}: empty file")
-    m = re.fullmatch(_HEADERS[kind], lines[0])
+    pattern = _HEADERS[kind] + r"(\d+)"
+    m = re.fullmatch(pattern, lines[0])
     if not m:
-        raise DimOutOfRange(f"{path}: expected header matching '{_HEADERS[kind]}', got '{lines[0]}'")
+        raise DimOutOfRange(f"{path}: expected header matching '{pattern}', got '{lines[0]}'")
     n = int(m.group(1))
     try:
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]

@@ -186,13 +186,13 @@ def test_acceptance_7_monte_carlo_matches_analytic():
     params = PrivacyParams(1.0, 1e-5)
     tree2 = Workload.from_matrix([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     triples = [
-        (Workload.from_matrix(np.eye(2)), identity_strategy(2).workload,
+        (Workload.from_matrix(np.eye(2)), identity_strategy(2),
          np.array([3.0, 5.0])),
-        (all_range([2]), identity_strategy(2).workload, np.array([1.0, 2.0])),
+        (all_range([2]), identity_strategy(2), np.array([1.0, 2.0])),
         (all_range([2]), tree2, np.array([2.0, 0.0])),
-        (all_range([2]), sqrt_strategy(all_range([2]), explicit=True).workload,
+        (all_range([2]), sqrt_strategy(all_range([2]), explicit=True),
          np.array([1.0, 1.0])),
-        (all_range([4]), haar_strategy(4).workload,
+        (all_range([4]), haar_strategy(4),
          np.array([1.0, 2.0, 3.0, 4.0])),
     ]
     for seed, (W, A, x) in enumerate(triples):

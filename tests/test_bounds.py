@@ -30,6 +30,7 @@ from querybound import (
     range_subrange_eigvals,
     range_subrange_svdb,
     range_trim_projected_svdb,
+    sqrt_strategy,
     stack,
     svdb,
     svdb_log,
@@ -37,7 +38,7 @@ from querybound import (
     tightness_certificate,
     variable_agnostic_svdb,
 )
-from querybound import numkernel, strategies, workloads
+from querybound import numkernel, workloads
 from querybound.bounds import uniform_svdb_log
 from querybound.privacy import PrivacyParams
 
@@ -385,7 +386,7 @@ def test_bound_report_and_three_evaluations_solve_four_spectra(monkeypatch, eige
               haar_strategy(64)]
     # the same Grams without their closed-form bases: one eigensolve each
     dense = [Workload.from_gram(range_gram_1d(64))] + \
-        [Workload.from_gram(A.workload.gram) for A in closed[1:]]
+        [Workload.from_gram(A.gram) for A in closed[1:]]
     # a workload's own Gram is symmetrized where it is formed: never re-validated
     validated = []
     real_check = numkernel.as_sym_matrix
@@ -393,7 +394,7 @@ def test_bound_report_and_three_evaluations_solve_four_spectra(monkeypatch, eige
     def counted_check(S, *args, **kwargs):
         validated.append(np.shape(S))
         return real_check(S, *args, **kwargs)
-    for module in (numkernel, workloads, strategies):
+    for module in (numkernel, workloads):
         monkeypatch.setattr(module, "as_sym_matrix", counted_check)
     for (W, *strategies_), solves in ((dense, [64] * 4), (closed, [])):
         del eigensolves[:]
@@ -402,6 +403,25 @@ def test_bound_report_and_three_evaluations_solve_four_spectra(monkeypatch, eige
             evaluate_strategy(W, A)
         assert eigensolves == solves
     assert validated == []
+
+
+def test_raw_grams_take_the_workload_path(eigensolves):
+    rng = np.random.default_rng(49)
+    B = rng.standard_normal((6, 4))
+    G = B @ B.T  # rank 4, and symmetric only up to rounding
+    params = PrivacyParams(0.5, 1e-6)
+    for call in (tightness_certificate, looseness_upper_bound,
+                 lambda X: looseness_upper_bound(X, params)):
+        del eigensolves[:]
+        raw = call(G)
+        assert eigensolves == [6]
+        assert call(Workload.from_gram(G)) == raw
+    del eigensolves[:]
+    A = sqrt_strategy(G)
+    assert eigensolves == [6]
+    ref = sqrt_strategy(Workload.from_gram(G))
+    np.testing.assert_array_equal(A.gram, ref.gram)
+    np.testing.assert_array_equal(A.gram_eigvals(), ref.gram_eigvals())
 
 
 def _old_certificate(G):

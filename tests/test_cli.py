@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import math
 
@@ -250,3 +252,21 @@ def test_table2_runs_no_eigensolve_over_64_rows(tmp_path, eigensolves):
     # basis, per factor for the grids
     assert cli.main(["table2", "--out", str(tmp_path / "table2.csv")]) == 0
     assert [rows for rows in eigensolves if rows > 64] == []
+    # the table's bytes, pinned at OpenBLAS on one thread and at its default
+    table = (tmp_path / "table2.csv").read_bytes()
+    assert hashlib.md5(table).hexdigest() == "8802f9cf91f10f236b7ab9a6d7e27b0e"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    counts = []
+    for _ in range(2):
+        assert cli.main(["bound", "--workload", "all-range", "--cells", "2"]) == 0
+        counts.append(len(added))
+    assert counts[1] == counts[0]

@@ -24,7 +24,7 @@ from querybound import (
     range_gram_1d,
     sqrt_strategy,
 )
-from querybound import numkernel, strategies, workloads
+from querybound import numkernel, workloads
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ def _count_validations(monkeypatch):
     def counted(S, *args, **kwargs):
         shapes.append(np.shape(S))
         return real(S, *args, **kwargs)
-    for module in (numkernel, workloads, strategies):
+    for module in (numkernel, workloads):
         monkeypatch.setattr(module, "as_sym_matrix", counted)
     return shapes
 
@@ -84,7 +84,7 @@ def test_nothing_n_by_n_when_workload_and_strategy_are_products(gram_form, monke
                                     for make in makers]
     # the same factor Grams with no closed-form eigenpairs: solved per factor
     solved = [kron_product([_without_basis(f) for f in X.factors])
-              for X in (closed[0], *(A.workload for A in closed[1:]))]
+              for X in closed]
     sizes = []
     real_kron = np.kron
 
@@ -109,7 +109,7 @@ def test_unaligned_factors_take_the_dense_path():
                                                     hierarchical_strategy(4)])):
         rep = evaluate_strategy(W, A)
         ref = evaluate_strategy(Workload.from_gram(W.gram),
-                                Workload.from_gram(A.workload.gram))
+                                Workload.from_gram(A.gram))
         np.testing.assert_allclose(rep.total_error, ref.total_error, rtol=1e-12)
 
 
@@ -134,7 +134,7 @@ def test_sqrt_strategy_still_validates_raw_matrices():
         sqrt_strategy(np.array([[1.0, 0.5], [0.0, 1.0]]))
     explicit = sqrt_strategy(range_gram_1d(4), explicit=True)
     np.testing.assert_allclose(explicit.matrix @ explicit.matrix,
-                               sqrt_strategy(range_gram_1d(4)).workload.gram,
+                               sqrt_strategy(range_gram_1d(4)).gram,
                                rtol=1e-9, atol=1e-12)
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from querybound import (
     DimOutOfRange,
-    Strategy,
     Workload,
     all_range,
     cli,
@@ -56,7 +55,7 @@ def test_dense_gram_fallbacks_refuse_grams_beyond_the_cap(small_gram_cap):
     with pytest.raises(DimOutOfRange):
         conjunction(Workload.from_matrix(np.eye(3)), Workload.from_matrix(np.eye(3)))
     with pytest.raises(DimOutOfRange):
-        kron_strategy([Strategy("custom", g3), Strategy("custom", g3)])
+        kron_strategy([g3, g3])
     with pytest.raises(DimOutOfRange):
         _ = Workload.from_matrix(np.ones((1, 9))).gram
     with pytest.raises(DimOutOfRange):

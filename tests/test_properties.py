@@ -93,13 +93,13 @@ def test_factored_and_dense_paths_agree(parts, gram_form):
         if gram_form:
             mp.setattr(workloads, "EXPLICIT_ENTRY_CAP", 0)
         W, A = _product_and_strategy(parts)
-    assert W.factors is not None and A.workload.factors is not None
+    assert W.factors is not None and A.factors is not None
     rep, ref = bound_report(W), bound_report(_stripped(W))
     np.testing.assert_allclose(rep.svdb, ref.svdb, rtol=1e-12)
     np.testing.assert_allclose(rep.diag_spread, ref.diag_spread, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(rep.looseness_factor, ref.looseness_factor, rtol=1e-9)
     err = analytic_total_error(W, A)
-    dense = analytic_total_error(_stripped(W), _stripped(A.workload))
+    dense = analytic_total_error(_stripped(W), _stripped(A))
     np.testing.assert_allclose(err.total_error, dense.total_error, rtol=1e-9)
     np.testing.assert_allclose(err.support_residual, dense.support_residual, rtol=0,
                                atol=1e-12)
@@ -196,7 +196,7 @@ def closed_forms(draw):
     else:
         k = draw(st.sampled_from([2, 3, 4]))
         A = hierarchical_strategy(draw(st.sampled_from(TREE_SIZES[k])), k)
-    return A.workload, A.matrix.T @ A.matrix
+    return A, A.matrix.T @ A.matrix
 
 
 @SETTINGS
@@ -248,7 +248,7 @@ def test_range_forms_by_prefix_sums_match_the_dense_forms(d, gram_form, seed):
     W = _range(d, gram_form)
     rng = np.random.default_rng(seed)
     for vectors in (rng.standard_normal((d, 2 * d)), W.gram_eig().vectors,
-                    identity_strategy(d).workload.gram_eig().vectors):
+                    identity_strategy(d).gram_eig().vectors):
         pair = EigenPair(np.zeros(vectors.shape[1]), vectors)
         np.testing.assert_allclose(W.gram_forms(pair), quadratic_forms(range_gram_1d(d), pair),
                                    rtol=1e-12)
@@ -256,7 +256,7 @@ def test_range_forms_by_prefix_sums_match_the_dense_forms(d, gram_form, seed):
 
 def test_irregular_trees_and_derived_workloads_carry_no_basis(eigensolves):
     W = all_range([12])
-    for X in (hierarchical_strategy(12, 2).workload, hierarchical_strategy(8, 3).workload,
+    for X in (hierarchical_strategy(12, 2), hierarchical_strategy(8, 3),
               column_project(W, range(1, 13)), Workload.from_gram(W.gram),
               data_cube([3, 4], [[1]], [1.0])):
         del eigensolves[:]

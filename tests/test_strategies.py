@@ -18,6 +18,7 @@ from querybound import (
     kron_strategy,
     load_strategy_csv,
     psd_sqrt,
+    range_gram_1d,
     save_strategy_csv,
     sensitivity,
     sqrt_strategy,
@@ -30,7 +31,6 @@ from querybound.strategies import _uniform_sqrt
 def test_identity_strategy():
     A = identity_strategy(3)
     np.testing.assert_array_equal(A.matrix, np.eye(3))
-    assert A.kind == "identity"
     with pytest.raises(DimOutOfRange):
         identity_strategy(0)
 
@@ -122,7 +122,7 @@ def test_constructors_support_their_workloads():
 def test_sqrt_strategy_gram_is_matrix_root():
     W = all_range([4])
     A = sqrt_strategy(W)
-    np.testing.assert_allclose(A.workload.gram, psd_sqrt(W.gram), rtol=1e-12)
+    np.testing.assert_allclose(A.gram, psd_sqrt(W.gram), rtol=1e-12)
     explicit = sqrt_strategy(W, explicit=True)
     np.testing.assert_allclose(explicit.matrix.T @ explicit.matrix,
                                psd_sqrt(W.gram), rtol=1e-9, atol=1e-12)
@@ -157,7 +157,7 @@ def test_uniform_sqrt_matches_materialized_root():
 
 def test_sqrt_strategy_beyond_float_range_stays_uniform():
     A = sqrt_strategy(all_predicate_gram(1024))
-    assert A.workload.uniform is not None
+    assert A.uniform is not None
     with pytest.raises(ExplicitRequired):
         sqrt_strategy(all_predicate_gram(1024), explicit=True)
 
@@ -188,20 +188,20 @@ def test_evaluate_strategy_rescaling_invariance():
 def test_workload_strategy_wraps_the_workload():
     W = all_range([3])
     A = workload_strategy(W)
-    assert A.kind == "workload" and A.workload is W
+    assert A is W
 
 
 def test_kron_strategy_gram_is_kronecker():
     A = kron_strategy([hierarchical_strategy(2), haar_strategy(2)])
-    G1 = hierarchical_strategy(2).workload.gram
-    G2 = haar_strategy(2).workload.gram
-    np.testing.assert_allclose(A.workload.gram, np.kron(G1, G2), rtol=1e-12)
+    G1 = hierarchical_strategy(2).gram
+    G2 = haar_strategy(2).gram
+    np.testing.assert_allclose(A.gram, np.kron(G1, G2), rtol=1e-12)
     big = kron_strategy([hierarchical_strategy(64), hierarchical_strategy(32)])
     assert not big.is_explicit  # falls back to the Gram beyond the entry cap
     np.testing.assert_allclose(
-        big.workload.gram,
-        np.kron(hierarchical_strategy(64).workload.gram,
-                hierarchical_strategy(32).workload.gram), rtol=1e-12)
+        big.gram,
+        np.kron(hierarchical_strategy(64).gram,
+                hierarchical_strategy(32).gram), rtol=1e-12)
 
 
 def test_strategy_csv_roundtrip(tmp_path):
@@ -214,3 +214,27 @@ def test_strategy_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.matrix, A.matrix)
     with pytest.raises(ExplicitRequired):
         save_strategy_csv(sqrt_strategy(all_range([4])), tmp_path / "b.csv")
+
+
+def test_every_constructor_returns_a_workload(tmp_path):
+    W = all_range([4])
+    path = tmp_path / "a.csv"
+    save_strategy_csv(hierarchical_strategy(4), path)
+    for A in (identity_strategy(4), workload_strategy(W), hierarchical_strategy(4, 3),
+              haar_strategy(4), sqrt_strategy(W), sqrt_strategy(W, explicit=True),
+              sqrt_strategy(range_gram_1d(4)), sqrt_strategy(all_predicate_gram(1024)),
+              kron_strategy([identity_strategy(2), haar_strategy(2)]),
+              load_strategy_csv(path)):
+        assert isinstance(A, Workload)
+
+
+def test_kron_strategy_takes_raw_matrices():
+    A = kron_strategy([np.eye(2), np.eye(2)])
+    assert isinstance(A, Workload) and A.n == 4
+    np.testing.assert_array_equal(A.matrix, np.eye(4))
+
+
+def test_save_strategy_csv_takes_a_raw_matrix(tmp_path):
+    path = tmp_path / "eye.csv"
+    save_strategy_csv(np.eye(2), path)
+    np.testing.assert_array_equal(load_strategy_csv(path).matrix, np.eye(2))

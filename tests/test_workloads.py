@@ -121,7 +121,7 @@ def test_gram_form_products_are_not_validated_again(monkeypatch):
         monkeypatch.setattr(module, "as_sym_matrix", refuse)
     products = [all_range([4]), all_range([3, 2]),
                 kron_product([all_range([2]), all_predicate_gram(2)]),
-                kron_strategy([all_range([2]), all_range([3])]).workload,
+                kron_strategy([all_range([2]), all_range([3])]),
                 data_cube([2, 3], [[1], []], [1.0, 2.0])]
     for W in products:
         assert not W.is_explicit
