@@ -10,6 +10,7 @@ achieves the bound, and the looseness factor bounds the gap when it does not.
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 
@@ -24,16 +25,29 @@ from .exceptions import (
 from .logspace import json_num, log_add, log10_of, to_float
 from .numkernel import clean_spectrum, kron_matvec
 from .privacy import p_factor_of
-from .workloads import UniformGram, Workload, check_subset, column_project
+from .workloads import UniformGram, Workload, column_project, subset_cells
 
 RANGE_FAMILY_CAP = 10 ** 6
+# floats in one stacked block of projected Grams (8 MiB): svdb_projected's
+# working memory stays bounded whatever the family's size
+PROJECTION_BLOCK_FLOATS = 2 ** 20
 EXHAUSTIVE_CELL_CAP = 20
 TIGHT_SPREAD_TOL = 1e-8
 
 
+def _root_sums(values: np.ndarray):
+    """Sum of the square roots of clean_spectrum(values), per row of a stack."""
+    return np.sum(np.sqrt(clean_spectrum(values)), axis=-1)
+
+
 def _singular_value_sum(W: Workload) -> float:
     """Sum of sqrt Gram eigenvalues, read from the workload's spectrum cache."""
-    return float(np.sum(np.sqrt(clean_spectrum(W.gram_eigvals()))))
+    return float(_root_sums(W.gram_eigvals()))
+
+
+def _svdb_log_of_sum(s: float, n: int) -> float:
+    """ln(s^2 / n); -inf for a zero sum, with no warning."""
+    return 2.0 * math.log(s) - math.log(n) if s > 0 else -math.inf
 
 
 def uniform_svdb_log(log_diag: float, log_off: float, n: int) -> float:
@@ -52,8 +66,7 @@ def svdb_log(W: Workload) -> float:
     """ln svdb(W); always finite even when svdb overflows float64."""
     if W.uniform is not None:
         return uniform_svdb_log(W.uniform.log_diag, W.uniform.log_off, W.n)
-    s = _singular_value_sum(W)
-    return 2.0 * math.log(s) - math.log(W.n) if s > 0 else -math.inf
+    return _svdb_log_of_sum(_singular_value_sum(W), W.n)
 
 
 def svdb(W: Workload) -> float:
@@ -111,17 +124,41 @@ def exhaustive_projection_family(n: int) -> list:
     return family
 
 
+def _principal_svdb_logs(G: np.ndarray, subsets: list) -> list:
+    """ln svdb of G's principal submatrix on each subset, in family order.
+
+    A projection's Gram is the principal submatrix of G on its cells, so no
+    projected workload is built. Subsets of one size k are stacked k x k,
+    at most PROJECTION_BLOCK_FLOATS floats at a time (one subset when a
+    single k x k exceeds it), and each stack is one batched eigvalsh whose
+    spectra are cleaned row by row.
+    """
+    by_size = defaultdict(list)
+    for i, mu in enumerate(subsets):
+        by_size[len(mu)].append(i)
+    logs = [0.0] * len(subsets)
+    for k, members in by_size.items():
+        step = max(1, PROJECTION_BLOCK_FLOATS // (k * k))
+        for start in range(0, len(members), step):
+            block = members[start:start + step]
+            idx = np.array([subsets[i] for i in block], dtype=np.intp) - 1
+            sums = _root_sums(np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]]))
+            for i, s in zip(block, sums.tolist()):
+                logs[i] = _svdb_log_of_sum(s, k)
+    return logs
+
+
 def svdb_projected(W: Workload, family):
     """Max of svdb over the column projections in family.
 
     Returns (best value, best subset); ties resolve to the lexicographically
-    smallest subset so results are independent of evaluation order.
+    smallest subset so results are independent of evaluation order. A
+    uniform workload's value depends only on the subset size; any other is
+    read from the principal submatrices of W.gram (_principal_svdb_logs).
     """
-    subsets = [tuple(sorted(set(int(i) for i in mu))) for mu in family]
+    subsets = [subset_cells(mu, W.n) for mu in family]
     if not subsets:
         raise DimOutOfRange("projection family is empty")
-    for mu in subsets:
-        check_subset(mu, W.n)
     if W.uniform is not None:
         # value depends only on subset size; evaluate each size once
         by_size = {}
@@ -131,7 +168,7 @@ def svdb_projected(W: Workload, family):
                 by_size[k] = uniform_svdb_log(W.uniform.log_diag, W.uniform.log_off, k)
         logs = [by_size[len(mu)] for mu in subsets]
     else:
-        logs = [svdb_log(column_project(W, mu)) for mu in subsets]
+        logs = _principal_svdb_logs(W.gram, subsets)
     best_log, best_mu = logs[0], subsets[0]
     for l, mu in zip(logs[1:], subsets[1:]):
         if l > best_log or (l == best_log and mu < best_mu):
@@ -320,6 +357,34 @@ def range_trim_projected_svdb(d: int, max_trim: int = 16):
             if v > best:
                 best, arg = v, (lo, hi)
     return best, arg
+
+
+def range_projected_ratio(d: int) -> float:
+    """Best projected svdb over sub-ranges of the d-cell all-ranges workload,
+    / its plain svdb (at least 1).
+
+    Scans every contiguous range (trims up to d - 1 cells per side) when that
+    is cheap, otherwise the documented boundary-trim subfamily (argmaxes
+    observed trim only a few cells).
+    """
+    full = range_subrange_svdb(d, 1, d)
+    max_trim = d - 1 if d * (d + 1) // 2 <= 10 ** 4 else 16
+    best, _ = range_trim_projected_svdb(d, max_trim)
+    return max(1.0, best / full)
+
+
+def predicate_projected_ratio(n: int) -> float:
+    """Best projected svdb of the n-cell all-predicates workload / its plain
+    svdb (at least 1).
+
+    Projections keep the same Gram shape (diagonal 2^(n-1), off-diagonal
+    2^(n-2)), so the best subset is found by scanning sizes with the closed
+    form.
+    """
+    la, lb = (n - 1) * math.log(2.0), (n - 2) * math.log(2.0)
+    full = uniform_svdb_log(la, lb, n)
+    best = max(uniform_svdb_log(la, lb, k) for k in range(1, n + 1))
+    return max(1.0, math.exp(best - full))
 
 
 # --- aggregated report ------------------------------------------------------

@@ -12,10 +12,9 @@ import numpy as np
 from .bounds import (
     bound_report,
     exhaustive_projection_family,
+    predicate_projected_ratio,
+    range_projected_ratio,
     range_projection_family,
-    range_subrange_svdb,
-    range_trim_projected_svdb,
-    uniform_svdb_log,
 )
 from .exceptions import (
     DimensionMismatch,
@@ -196,29 +195,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _range_projected_ratio(d: int) -> float:
-    """Best projected svdb over sub-ranges of one dimension, / plain svdb.
-
-    Scans every contiguous range (trims up to d - 1 cells per side) when that
-    is cheap, otherwise the documented boundary-trim subfamily (argmaxes
-    observed trim only a few cells).
-    """
-    full = range_subrange_svdb(d, 1, d)
-    max_trim = d - 1 if d * (d + 1) // 2 <= 10 ** 4 else 16
-    best, _ = range_trim_projected_svdb(d, max_trim)
-    return max(1.0, best / full)
-
-
-def _predicate_projected_ratio(n: int) -> float:
-    """Projections of the all-predicates workload keep the same Gram shape
-    (diagonal 2^(n-1), off-diagonal 2^(n-2)), so the best subset is found by
-    scanning sizes with the closed form."""
-    la, lb = (n - 1) * math.log(2.0), (n - 2) * math.log(2.0)
-    full = uniform_svdb_log(la, lb, n)
-    best = max(uniform_svdb_log(la, lb, k) for k in range(1, n + 1))
-    return max(1.0, math.exp(best - full))
-
-
 def _table_row(name, W, svdb_u_ratio, dims, fanout):
     rep = bound_report(W)
     makers = [identity_strategy, lambda d: hierarchical_strategy(d, fanout), haar_strategy]
@@ -239,11 +215,11 @@ def cmd_table2(args) -> int:
     for dims, name in [([2048], "AllRange(2048)"),
                        ([64, 32], "AllRange(64,32)"),
                        ([2] * 10, "AllRange(2x2x...x2, 10 dims)")]:
-        u_ratio = math.prod(_range_projected_ratio(d) for d in dims)
+        u_ratio = math.prod(range_projected_ratio(d) for d in dims)
         rows.append(_table_row(name, all_range(dims), u_ratio, dims, args.fanout))
     n = 1024
     rows.append(_table_row("AllPredicate(1024)", all_predicate_gram(n),
-                           _predicate_projected_ratio(n), [n], args.fanout))
+                           predicate_projected_ratio(n), [n], args.fanout))
     header = ("workload,svdb,svdb_log10,svdb_u_ratio,identity_ratio,"
               "hierarchical_ratio,haar_ratio,eigen_design")
     lines = [header] + [",".join(f'"{c}"' if "," in c else c for c in row)

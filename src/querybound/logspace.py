@@ -50,8 +50,10 @@ def fmt_log10(l10: float) -> str:
         return "0"
     exp10 = math.floor(l10)
     mant = 10.0 ** (l10 - exp10)
-    # keep the mantissa in [1, 10) despite rounding at the digit boundary
-    if mant >= 9.99995:
+    # keep the mantissa in [1, 10) despite rounding at the digit boundary:
+    # '.5f' gives 10.00000 exactly from 9.999995 up (the double nearest
+    # 9.999995 lies above it)
+    if mant >= 9.999995:
         mant /= 10.0
         exp10 += 1
     return f"{mant:.5f}e{exp10:+03d}"

@@ -75,11 +75,18 @@ def sym_eig(S) -> EigenPair:
 
 
 def check_psd(values: np.ndarray) -> np.ndarray:
-    """Clamp small negative eigenvalues to 0; raise NotPSD below -PSD_TOL * max."""
-    top = float(values.max(initial=0.0))
-    floor = -PSD_TOL * max(top, 1e-300)
-    if values.min(initial=0.0) < floor:
-        raise NotPSD(f"eigenvalue {values.min():.6e} below tolerance {floor:.3e}")
+    """Clamp small negative eigenvalues to 0; raise NotPSD below -PSD_TOL * max.
+
+    values is one spectrum, or a (batch, k) stack with one spectrum per row;
+    each row is held to its own max.
+    """
+    top = values.max(axis=-1, keepdims=True, initial=0.0)
+    floor = -PSD_TOL * np.maximum(top, 1e-300)
+    low = values.min(axis=-1, keepdims=True, initial=0.0)
+    bad = np.flatnonzero(low < floor)
+    if bad.size:
+        i = bad[0]
+        raise NotPSD(f"eigenvalue {low.flat[i]:.6e} below tolerance {floor.flat[i]:.3e}")
     return np.clip(values, 0.0, None)
 
 
@@ -89,10 +96,11 @@ def clean_spectrum(values: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-9 * max, 0) are treated as exact zeros, as is
     anything below the shared relative spectral cutoff: their square roots
     (~1e-8 for float64 roundoff) would otherwise dominate rank-deficient
-    sums, traces and diagonals.
+    sums, traces and diagonals. A (batch, k) stack is cleaned row by row,
+    as check_psd checks it.
     """
     values = check_psd(values)
-    values[values < EIG_ZERO_REL * values.max(initial=0.0)] = 0.0
+    values[values < EIG_ZERO_REL * values.max(axis=-1, keepdims=True, initial=0.0)] = 0.0
     return values
 
 

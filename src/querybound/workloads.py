@@ -437,14 +437,19 @@ def data_cube(dims, cuboids, weights) -> Workload:
     return _exact_gram(G, query_count=m)
 
 
+def subset_cells(mu, n) -> tuple:
+    """A 1-based cell subset validated against n, as sorted distinct cells."""
+    cells = tuple(sorted(set(map(int, mu))))
+    if not cells:
+        raise IndexOutOfRange("projection subset is empty")
+    if cells[0] < 1 or cells[-1] > n:
+        raise IndexOutOfRange(f"subset {list(cells)} not within 1..{n}")
+    return cells
+
+
 def check_subset(mu, n) -> np.ndarray:
     """Validate a 1-based cell subset against n; returns sorted 0-based indices."""
-    idx = sorted(set(int(i) for i in mu))
-    if not idx:
-        raise IndexOutOfRange("projection subset is empty")
-    if idx[0] < 1 or idx[-1] > n:
-        raise IndexOutOfRange(f"subset {idx} not within 1..{n}")
-    return np.asarray(idx, dtype=np.intp) - 1
+    return np.asarray(subset_cells(mu, n), dtype=np.intp) - 1
 
 
 def column_project(W: Workload, mu) -> Workload:

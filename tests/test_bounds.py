@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from querybound import (
     variable_agnostic_svdb,
 )
 from querybound import numkernel, workloads
-from querybound.bounds import uniform_svdb_log
+from querybound.bounds import PROJECTION_BLOCK_FLOATS, uniform_svdb_log
 from querybound.privacy import PrivacyParams
 
 # frozen from the Faddeev-LeVerrier characteristic polynomial oracle
@@ -180,6 +182,71 @@ def test_svdb_projected_uniform_scans_by_size():
     v, mu = svdb_projected(W, [(1, 2, 3), (5, 9), tuple(range(1, 25))])
     np.testing.assert_allclose(math.log(v), svdb_log(W), rtol=1e-12)
     assert mu == tuple(range(1, 25))
+
+
+def test_svdb_projected_mirror_ranges_tie_to_the_smaller():
+    # a range and its mirror image have permuted Grams of equal spectrum;
+    # where the two solves agree bit for bit, the smaller subset wins in
+    # either family order
+    d = 9
+    W = all_range([d])
+    ties = 0
+    for mu in range_projection_family([d]):
+        mirror = tuple(d + 1 - c for c in reversed(mu))
+        if mirror <= mu:
+            continue
+        a, b = svdb_projected(W, [mu])[0], svdb_projected(W, [mirror])[0]
+        np.testing.assert_allclose(a, b, rtol=1e-13)
+        for family in ([mu, mirror], [mirror, mu]):
+            assert svdb_projected(W, family) == (max(a, b), mu if a >= b else mirror)
+        ties += a == b
+    assert ties >= d // 2  # at least every single-cell pair
+
+
+def test_svdb_projected_raises_on_an_indefinite_projection():
+    W = Workload.from_gram([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 5.0]])
+    v, mu = svdb_projected(W, [(1,), (3,)])
+    np.testing.assert_allclose(v, 5.0, rtol=1e-15)
+    assert mu == (3,)
+    # the indefinite projection sits between two definite ones in its block
+    with pytest.raises(NotPSD, match=r"eigenvalue -1\.000000e\+00 below tolerance"):
+        svdb_projected(W, [(1, 3), (1, 2), (2, 3)])
+
+
+def test_svdb_projected_onto_untouched_cells_is_zero():
+    W = Workload.from_matrix([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], dedup=False)
+    assert svdb_projected(W, [(3,)]) == (0.0, (3,))
+    v, mu = svdb_projected(W, [(3,), (2, 3), (1,)])
+    np.testing.assert_allclose(v, 2.0, rtol=1e-15)
+    assert mu == (1,)
+
+
+def test_svdb_projected_stacks_at_most_one_block(monkeypatch):
+    W = Workload.from_matrix(np.eye(12))
+    W.gram  # formed before the measurement, as bound_report leaves it
+    combos = list(itertools.combinations(range(1, 13), 8))
+    family = [combos[i % len(combos)] for i in range(10 ** 5)]
+    stacked = []
+    real = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        stacked.append(a.nbytes)
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    block = 8 * PROJECTION_BLOCK_FLOATS
+    tracemalloc.start()
+    try:
+        v, mu = svdb_projected(W, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(v, 8.0, rtol=1e-15)
+    assert mu == combos[0]
+    whole = 8 * 64 * len(family)  # 49 MB: the family's 8 x 8 Grams stacked at once
+    assert max(stacked) <= block and len(stacked) == -(-whole // block)
+    # one block and its spectra, beside about 16 MB of normalized subsets
+    # and their values
+    assert peak < 4 * block < whole
 
 
 def test_greedy_heuristic_never_loses_to_the_full_set():

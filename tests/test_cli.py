@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from querybound import Workload, all_range, cli, save_workload_csv
+from querybound.bounds import predicate_projected_ratio, range_projected_ratio
 from querybound.mechanism import TRIAL_CAP
 
 BOUND_FIELDS = {"svdb", "svdb_log10", "projected_svdb", "projected_subset",
@@ -231,9 +232,9 @@ def test_strategy_csv_round_trip_through_eval(tmp_path, capsys):
 
 
 def test_projected_ratio_helpers_cover_identity_case():
-    assert cli._range_projected_ratio(4) == 1.0
-    assert cli._predicate_projected_ratio(3) == 1.0
-    assert cli._predicate_projected_ratio(17) == 1.0
+    assert range_projected_ratio(4) == 1.0
+    assert predicate_projected_ratio(3) == 1.0
+    assert predicate_projected_ratio(17) == 1.0
 
 
 def test_gram_only_workload_via_csv(tmp_path, capsys):

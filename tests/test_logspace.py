@@ -61,3 +61,6 @@ def test_fmt_log10_rounds_at_the_decade_boundary():
     # a mantissa that rounds up to 10.0 must carry into the exponent
     assert fmt_log10(math.log10(9.9999999)) == "1.00000e+01"
     assert fmt_log10(math.log10(0.999999999)) == "1.00000e+00"
+    # a mantissa in [9.99995, 9.999995) rounds within its own decade
+    assert fmt_log10(math.log10(9.99996)) == "9.99996e+00"
+    assert fmt_log10(math.log10(9.99999)) == "9.99999e+00"

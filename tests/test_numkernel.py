@@ -5,6 +5,7 @@ from querybound import NonFinite, NonSymmetric, NotPSD
 from querybound.numkernel import (
     as_sym_matrix,
     check_psd,
+    clean_spectrum,
     pinv_trace,
     psd_sqrt,
     pseudoinverse,
@@ -60,6 +61,21 @@ def test_check_psd_clamps_roundoff_and_rejects_negatives():
     assert np.all(clamped >= 0)
     with pytest.raises(NotPSD):
         check_psd(np.array([1.0, -0.5]))
+
+
+def test_check_psd_and_clean_spectrum_act_row_by_row():
+    rows = np.array([[-1e-13, 1e-10, 2.0], [0.0, 0.0, 0.0], [-1e-8, 3e-13, 1e4]])
+    np.testing.assert_array_equal(check_psd(rows), [check_psd(r) for r in rows])
+    cleaned = clean_spectrum(rows)
+    assert cleaned[0, 1] == 1e-10  # kept beside 2, though below 1e-12 * 1e4
+    for row, got in zip(rows, cleaned):
+        assert got.tobytes() == clean_spectrum(row).tobytes()
+    # each row is held to its own max: -1e-8 passes beside 1e4, not beside 2
+    with pytest.raises(NotPSD) as stacked:
+        check_psd(np.array([[-1e-8, 1e4], [-1e-8, 2.0]]))
+    with pytest.raises(NotPSD) as alone:
+        check_psd(np.array([-1e-8, 2.0]))
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_psd_sqrt_squares_back():

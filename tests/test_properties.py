@@ -8,8 +8,9 @@ the uniform log-space form and its materialized Gram. The closed-form
 eigenpairs of 1-D ranges, the identity, Haar and regular trees diagonalize
 their Grams, and errors through them agree with the same Grams solved
 densely. The analytic error never falls below the spectral bound, and
-sqrt(svdb) is subadditive under union. A block of noise draws equals the
-per-trial streams bit for bit. Examples are drawn deterministically, so every
+sqrt(svdb) is subadditive under union. The batched projection scan is the
+per-subset scan, bit for bit on integer workloads. A block of noise draws
+equals the per-trial streams bit for bit. Examples are drawn deterministically, so every
 run checks the same ones.
 """
 
@@ -30,18 +31,22 @@ from querybound import (
     bound_report,
     column_project,
     data_cube,
+    exhaustive_projection_family,
     haar_strategy,
     hierarchical_strategy,
     identity_strategy,
     kron_product,
     kron_strategy,
     range_gram_1d,
+    range_projection_family,
     sqrt_strategy,
     svdb,
     svdb_log,
+    svdb_projected,
     union,
     workloads,
 )
+from querybound.logspace import to_float
 from querybound.numkernel import EigenPair, quadratic_forms
 from querybound.strategies import _uniform_sqrt
 
@@ -234,7 +239,6 @@ def workload_and_closed_strategy(draw):
 @given(workload_and_closed_strategy())
 def test_errors_through_closed_forms_match_the_dense_twins(pair):
     W, A = pair
-    A = getattr(A, "workload", A)
     Wd = Workload.from_gram(W.uniform.materialize(W.n) if W.uniform else W.gram)
     rep, dense = analytic_total_error(W, A), analytic_total_error(Wd, Workload.from_gram(A.gram))
     np.testing.assert_allclose(rep.total_error, dense.total_error, rtol=1e-9)
@@ -262,6 +266,53 @@ def test_irregular_trees_and_derived_workloads_carry_no_basis(eigensolves):
         del eigensolves[:]
         X.gram_eig()
         assert eigensolves == [X.n]
+
+
+def _projected_by_subset(W, family):
+    """max of svdb_log(column_project(W, mu)) over the family, and the
+    smallest subset that attains it."""
+    logs = {tuple(sorted(set(mu))): svdb_log(column_project(W, mu)) for mu in family}
+    top = max(logs.values())
+    return to_float(top), min(mu for mu, l in logs.items() if l == top)
+
+
+@st.composite
+def integer_workload_and_family(draw):
+    """All-range grids (explicit or Gram form) with their range family, or an
+    explicit all-predicate workload with its exhaustive family, each with a
+    few drawn subsets appended."""
+    if draw(st.booleans()):
+        dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+        with pytest.MonkeyPatch.context() as mp:
+            if draw(st.booleans()):
+                mp.setattr(workloads, "EXPLICIT_ENTRY_CAP", 0)
+            W = all_range(dims)
+        family = range_projection_family(dims)
+    else:
+        W = all_predicate_gram(draw(st.integers(1, 7)))
+        family = exhaustive_projection_family(W.n)
+    extra = st.lists(st.integers(1, W.n), min_size=1, max_size=W.n)
+    return W, family + draw(st.lists(extra, max_size=6))
+
+
+@SETTINGS
+@given(integer_workload_and_family())
+def test_projected_scan_is_the_per_subset_scan_bit_for_bit(pair):
+    W, family = pair
+    assert svdb_projected(W, family) == _projected_by_subset(W, family)
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_projected_scan_matches_the_per_subset_scan_on_real_workloads(n, m, seed):
+    W = Workload.from_matrix(np.random.default_rng(seed).standard_normal((m, n)),
+                             dedup=False)
+    family = exhaustive_projection_family(n)
+    v, mu = svdb_projected(W, family)
+    ref, _ = _projected_by_subset(W, family)
+    np.testing.assert_allclose(v, ref, rtol=1e-12)
+    # near-ties may round either way: the witness need only attain the max
+    np.testing.assert_allclose(svdb(column_project(W, mu)), ref, rtol=1e-12)
 
 
 # seeds of one, two to four, and more than four uint32 words
