@@ -27,7 +27,7 @@ from .exceptions import (
     SupportViolation,
 )
 from .logspace import json_num, log10_of, to_float
-from .numkernel import pinv_trace_and_residual, pseudoinverse
+from .numkernel import clean_spectrum, pinv_trace_and_residual
 from .privacy import PrivacyParams, p_factor_of
 from .workloads import Workload
 
@@ -273,21 +273,30 @@ def gaussian_mechanism(W: Workload, x, params: PrivacyParams, noise,
 
 
 def _recovery_matrix(W: Workload, A: Workload) -> np.ndarray:
-    """W A^+ after verifying A's rows support W (matrix-level check)."""
+    """W A^+ after verifying A's rows support W (matrix-level check).
+
+    With G_A = V diag(mu) V' from A.gram_eig(), A^+ = V_k diag(1/mu_k) V_k' A'
+    over the eigenvectors V_k that clean_spectrum keeps, the cutoff
+    analytic_total_error applies. The support residual is ||W V_d||_F / ||W||_F
+    over the dropped eigenvectors V_d, which equals ||W A^+ A - W||_F / ||W||_F
+    and is exactly 0 when none is dropped.
+    """
     if not (W.is_explicit and A.is_explicit):
         raise ExplicitRequired("matrix mechanism needs explicit workload and strategy")
     if A.n != W.n:
         raise DimensionMismatch(f"strategy covers {A.n} cells, workload {W.n}")
-    WA = W.matrix @ pseudoinverse(A.matrix)
+    values, vectors = A.gram_eig()
+    mu = clean_spectrum(values)
+    kept = mu > 0
     w_norm = float(np.linalg.norm(W.matrix))
-    R = WA @ A.matrix
-    R -= W.matrix  # in place: one m_W x n temporary, not two
-    resid = float(np.linalg.norm(R))
+    resid = float(np.linalg.norm(W.matrix @ vectors[:, ~kept]))
     if resid > SUPPORT_TOL_MATRIX * max(w_norm, 1e-300):
         raise SupportViolation(
             f"strategy does not support workload: residual {resid:.3e} "
             f"vs {SUPPORT_TOL_MATRIX:.0e} * ||W||_F = {SUPPORT_TOL_MATRIX * w_norm:.3e}")
-    return WA
+    V_k = vectors[:, kept]
+    # multi_dot orders the products by cost: a tall W or a one-row W alike
+    return np.linalg.multi_dot([W.matrix, V_k / mu[kept], V_k.T, A.matrix.T])
 
 
 def matrix_mechanism(W: Workload, A, x, params: PrivacyParams, noise,

@@ -1,8 +1,10 @@
 """Deterministic dense symmetric-matrix kernels.
 
-Everything downstream (bounds, strategies, mechanism error) reduces to
-symmetric eigendecompositions, PSD square roots, and pseudoinverse traces
-computed here. All kernels are pure functions of their float64 inputs.
+Everything downstream (bounds, strategies, mechanism error, the recovery
+matrix W A^+) reduces to symmetric eigendecompositions, PSD square roots and
+traces over eigenpairs computed here, under the one relative spectral cutoff
+of clean_spectrum. No kernel takes an SVD. All kernels are pure functions of
+their float64 inputs.
 """
 
 from functools import reduce
@@ -10,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonFinite, NonSymmetric, NotPSD
+from .exceptions import NonFinite, NonSymmetric, NotPSD
 
 # relative spectral cutoff: eigenvalues below EIG_ZERO_REL * max are rank-deficient
 EIG_ZERO_REL = 1e-12
@@ -116,14 +118,6 @@ def psd_sqrt(S) -> np.ndarray:
     return psd_sqrt_of(sym_eig(S))
 
 
-def pseudoinverse(A) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the shared relative spectral cutoff."""
-    A = np.asarray(A, dtype=np.float64)
-    if not np.all(np.isfinite(A)):
-        raise NonFinite("matrix contains NaN or infinity")
-    return np.linalg.pinv(A, rcond=EIG_ZERO_REL)
-
-
 def quadratic_forms(G_W: np.ndarray, pair: EigenPair) -> np.ndarray:
     """v_k' G_W v_k for every eigenvector v_k of the pair."""
     return np.einsum("ij,ij->j", pair.vectors, G_W @ pair.vectors)
@@ -136,28 +130,14 @@ def pinv_trace_and_residual(quads: np.ndarray, values: np.ndarray) -> tuple:
     the trace of G_W on each eigenspace, multiplicity included (v' G_W v for
     a single eigenvector v). The eigenspaces must cover the whole space, so
     the quads sum to trace(G_W). G_A must be PSD (NotPSD otherwise). Only
-    eigenvalues above the relative cutoff are inverted. The residual is the
+    eigenvalues clean_spectrum keeps are inverted. The residual is the
     share of that sum outside the kept eigenspaces (exactly 0 when every one
     is kept): the caller compares it with its support tolerance.
     """
-    values = check_psd(values)
-    kept = values > EIG_ZERO_REL * values.max(initial=0.0)
+    values = clean_spectrum(values)
+    kept = values > 0
     total = float(np.sum(quads))
     covered = float(np.sum(quads[kept]))
     resid = max(0.0, total - covered) / total if total > 0 else 0.0
     trace = float(np.sum(quads[kept] / values[kept])) if kept.any() else 0.0
     return trace, resid
-
-
-def pinv_trace(G_W, G_A) -> float:
-    """trace(G_W @ pinv(G_A)) for PSD Grams, the unit-noise error kernel.
-
-    Inverts only the G_A eigenvalues above the relative cutoff; the caller
-    is responsible for the support condition (see mechanism.analytic_total_error).
-    """
-    G_W = as_sym_matrix(G_W)
-    pair = sym_eig(G_A)
-    if G_W.shape != pair.vectors.shape:
-        raise DimensionMismatch(f"Gram shapes differ: {G_W.shape} vs {pair.vectors.shape}")
-    check_psd(sym_eig(G_W).values)
-    return pinv_trace_and_residual(quadratic_forms(G_W, pair), pair.values)[0]

@@ -521,15 +521,12 @@ def contained_in(W1: Workload, W2: Workload) -> bool:
 _HEADERS = {"workload": "n=", "gram": "gram n=", "strategy": "strategy n="}
 
 
-def _fmt_row(row) -> str:
-    return ",".join(format(float(v), ".17g") for v in row)
-
-
 def _write_matrix_csv(M, path, kind):
+    row_fmt = ",".join(["%.17g"] * M.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{_HEADERS[kind]}{M.shape[1]}\n")
         for row in M:
-            fh.write(_fmt_row(row) + "\n")
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def _read_matrix_csv(path, kind):

@@ -131,26 +131,36 @@ def test_run_is_deterministic(tmp_path):
 
 
 # stdout of `run ... --trials 3000 --seed 77`, byte for byte: drawing the
-# noise a block at a time must reproduce the per-trial streams exactly
+# noise a block at a time must reproduce the per-trial streams exactly. The
+# last entry is the (mean, stderr) pinned when W A^+ came from an SVD: taking
+# it from the strategy's eigenpairs moves them by rounding only (an identity
+# strategy not at all), while another noise stream would move mean by ~1e-2
 RUN_GOLDEN = [
     (["--cells", "124", "--strategy", "identity"],
      '"analytic": 7946153.292240144,\n  "mean": 8200087.649808484,\n  "seed": 77,\n'
-     '  "stderr": 139001.87590697498,\n  "trials": 3000,\n  "z": 1.826841227224029'),
+     '  "stderr": 139001.87590697498,\n  "trials": 3000,\n  "z": 1.826841227224029',
+     (8200087.649808484, 139001.87590697498)),
     (["--dims", "7,8", "--strategy", "hierarchical", "--fanout", "4"],
-     '"analytic": 199303.7132041311,\n  "mean": 199680.16784872476,\n  "seed": 77,\n'
-     '  "stderr": 1023.8998282106894,\n  "trials": 3000,\n  "z": 0.3676674555669321'),
+     '"analytic": 199303.7132041311,\n  "mean": 199680.16784872493,\n  "seed": 77,\n'
+     '  "stderr": 1023.8998282106899,\n  "trials": 3000,\n  "z": 0.36766745556710245',
+     (199680.16784872476, 1023.8998282106894)),
     (["--cells", "64", "--strategy", "sqrt"],
-     '"analytic": 295982.4240048084,\n  "mean": 299881.31728192506,\n  "seed": 77,\n'
-     '  "stderr": 2085.6493097422713,\n  "trials": 3000,\n  "z": 1.8693906300088576'),
+     '"analytic": 295982.4240048084,\n  "mean": 299881.3172819246,\n  "seed": 77,\n'
+     '  "stderr": 2085.6493097422695,\n  "trials": 3000,\n  "z": 1.869390630008636',
+     (299881.31728192506, 2085.6493097422713)),
 ]
 
 
-@pytest.mark.parametrize("flags, body", RUN_GOLDEN, ids=["identity", "hierarchical", "sqrt"])
-def test_run_output_is_pinned_byte_for_byte(flags, body, capsys):
+@pytest.mark.parametrize("flags, body, svd_pinned", RUN_GOLDEN,
+                         ids=["identity", "hierarchical", "sqrt"])
+def test_run_output_is_pinned_byte_for_byte(flags, body, svd_pinned, capsys):
     code = cli.main(["run", "--workload", "all-range", *flags,
                      "--trials", "3000", "--seed", "77"])
     assert code == 0
-    assert capsys.readouterr().out == "{\n  " + body + "\n}\n"
+    out = capsys.readouterr().out
+    assert out == "{\n  " + body + "\n}\n"
+    rep = json.loads(out)
+    np.testing.assert_allclose([rep["mean"], rep["stderr"]], svd_pinned, rtol=1e-13)
 
 
 def test_exit_2_on_a_negative_seed(capsys):
@@ -206,6 +216,27 @@ def test_exit_4_on_support_violation(tmp_path, capsys):
     assert cli.main(["eval", "--workload", "all-range", "--cells", "2",
                      "--strategy", f"csv:{path}"]) == 4
     assert "SupportViolation" in capsys.readouterr().err
+
+
+def test_run_exits_4_on_a_strategy_below_the_spectral_cutoff(tmp_path, capsys):
+    work, strat = tmp_path / "w.csv", tmp_path / "a.csv"
+    work.write_text("n=3\n1,0,0\n0,1,0\n0,0,1\n")
+    strat.write_text("strategy n=3\n1,0,0\n0,1,0\n0,0,1e-7\n")
+    assert cli.main(["run", "--workload", f"csv:{work}", "--strategy", f"csv:{strat}",
+                     "--trials", "10"]) == 4
+    # refused by the recovery matrix's check, before any trial runs
+    assert "||W||_F" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["identity", "hierarchical", "sqrt", "workload"])
+def test_run_takes_no_svd(strategy, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run took an SVD")
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    code, rep, _ = run_json(["run", "--workload", "all-range", "--cells", "16",
+                             "--strategy", strategy, "--trials", "200"], capsys)
+    assert code == 0 and rep["mean"] > 0
 
 
 def test_exit_5_on_wrong_data_length(tmp_path, capsys):

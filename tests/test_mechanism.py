@@ -133,6 +133,34 @@ def test_matrix_mechanism_zero_noise_and_support():
                          PARAMS, ZeroNoise())
 
 
+def test_mechanisms_refuse_what_the_analytic_error_refuses_before_any_draw():
+    # A's third singular value 1e-7 squares to 1e-14, below the eigenvalue
+    # cutoff of 1e-12: no mechanism simulates a strategy the error refuses
+    class Recording(GaussianNoise):
+        def __init__(self):
+            super().__init__(0)
+            self.calls = []
+
+        def sample(self, size, trial=0):
+            self.calls.append(("sample", size, trial))
+            return super().sample(size, trial)
+
+        def block(self, size, start, count):
+            self.calls.append(("block", size, start, count))
+            return super().block(size, start, count)
+
+    W = Workload.from_matrix(np.eye(3), dedup=False)
+    A = np.diag([1.0, 1.0, 1e-7])
+    with pytest.raises(SupportViolation):
+        analytic_total_error(W, A)
+    noise = Recording()
+    with pytest.raises(SupportViolation, match=r"residual 1\.000e\+00 vs"):
+        empirical_error(W, A, np.zeros(3), PARAMS, 10, noise=noise)
+    with pytest.raises(SupportViolation, match=r"residual 1\.000e\+00 vs"):
+        matrix_mechanism(W, A, np.zeros(3), PARAMS, noise)
+    assert noise.calls == []
+
+
 def test_analytic_error_identity_on_identity():
     for n in (1, 3, 6):
         rep = analytic_total_error(Workload.from_matrix(np.eye(n)), np.eye(n))

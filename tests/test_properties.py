@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from querybound import (
     GaussianNoise,
     PrivacyParams,
+    SupportViolation,
     Workload,
     all_predicate_gram,
     all_range,
@@ -31,6 +32,7 @@ from querybound import (
     bound_report,
     column_project,
     data_cube,
+    empirical_error,
     exhaustive_projection_family,
     haar_strategy,
     hierarchical_strategy,
@@ -47,6 +49,7 @@ from querybound import (
     workloads,
 )
 from querybound.logspace import to_float
+from querybound.mechanism import _recovery_matrix
 from querybound.numkernel import EigenPair, quadratic_forms
 from querybound.strategies import _uniform_sqrt
 
@@ -341,3 +344,46 @@ def test_noise_block_is_the_stacked_per_trial_streams(seed, size, block):
                          for t in range(start, start + count)])
     drawn = noise.block(size, start, count)
     assert drawn.shape == expected.shape and drawn.tobytes() == expected.tobytes()
+
+
+@st.composite
+def strategies_near_the_cutoff(draw):
+    """(W, A, s): A = U diag(s) V' with singular values s in [0.05, 1] times a
+    scale, some of them 0 and perhaps one in (1e-12, 1e-6) s_max; W's rows lie
+    in the span of A's large singular directions, of those and the next one,
+    or anywhere."""
+    n, m_a, m_w = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = min(m_a, n)
+    s = np.sort(rng.uniform(0.05, 1.0, r))[::-1] * 10.0 ** draw(st.integers(-3, 3))
+    large = r - draw(st.integers(0, r - 1))
+    s[large:] = 0.0
+    if large < r and draw(st.booleans()):
+        s[large] = s[0] * 10.0 ** draw(st.floats(-12.0, -6.0, exclude_min=True,
+                                                 exclude_max=True))
+    U = np.linalg.qr(rng.standard_normal((m_a, m_a)))[0][:, :r]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    span = {"large": V[:, :large], "next": V[:, :large + 1], "any": np.eye(n)}[
+        draw(st.sampled_from(["large", "next", "any"]))]
+    W = rng.standard_normal((m_w, span.shape[1])) @ span.T
+    return (Workload.from_matrix(W, dedup=False),
+            Workload.from_matrix((U * s) @ V[:, :r].T, dedup=False), s)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(strategies_near_the_cutoff())
+@example((Workload.from_matrix(np.eye(3), dedup=False),
+          Workload.from_matrix(np.diag([1.0, 1.0, 1e-7]), dedup=False),
+          np.array([1.0, 1.0, 1e-7])))
+def test_run_refuses_what_eval_refuses_and_recovers_as_the_cut_pinv(case):
+    W, A, s = case
+    try:
+        empirical_error(W, A, np.zeros(W.n), PrivacyParams(1.0, 1e-5), 2)
+    except SupportViolation:
+        return
+    analytic_total_error(W, A)  # accepted too: the same kept eigenvectors
+    cutoff = 1e-6 * s.max()  # on singular values: 1e-12 on Gram eigenvalues
+    if np.all((s < cutoff / 10) | (s > cutoff * 10)):
+        got = _recovery_matrix(W, A)
+        ref = W.matrix @ np.linalg.pinv(A.matrix, rcond=1e-6)
+        assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)

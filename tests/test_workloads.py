@@ -272,6 +272,18 @@ def test_workload_csv_roundtrip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.matrix, W.matrix)
 
 
+def test_csv_rows_match_per_entry_formatting_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(34)
+    M = rng.standard_normal((5, 4)) * 10.0 ** rng.integers(-300, 300, size=(5, 4))
+    M[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
+    M[1, :3] = [-5e-324, -1.7976931348623157e308, 0.1]
+    path = tmp_path / "w.csv"
+    save_workload_csv(Workload.from_matrix(M, dedup=False), path)
+    expected = "n=4\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                                  for row in M.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
 def test_gram_csv_roundtrip_is_exact(tmp_path):
     W = all_range([2048])
     path = tmp_path / "g.csv"
