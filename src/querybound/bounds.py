@@ -100,16 +100,16 @@ def range_projection_family(dims) -> list:
     count = math.prod(d * (d + 1) // 2 for d in dims)
     if count > RANGE_FAMILY_CAP:
         raise FamilyTooLarge(f"{count} sub-ranges exceed the cap {RANGE_FAMILY_CAP}")
-    strides = np.ones(len(dims), dtype=np.int64)
-    for a in range(len(dims) - 2, -1, -1):
-        strides[a] = strides[a + 1] * dims[a + 1]
-    per_dim = [[(lo, hi) for lo in range(d) for hi in range(lo, d)] for d in dims]
-    family = []
-    for combo in itertools.product(*per_dim):
-        cells = np.zeros(1, dtype=np.int64)
-        for (lo, hi), stride in zip(combo, strides):
-            cells = (cells[:, None] + stride * np.arange(lo, hi + 1)[None, :]).ravel()
-        family.append(tuple(int(c) + 1 for c in np.sort(cells)))
+    # each dim's ranges, (lo, hi) lexicographic; the last dim's are 1-based
+    last = len(dims) - 1
+    spans = [[range(lo + (i == last), hi + 1 + (i == last))
+              for lo in range(d) for hi in range(lo, d)] for i, d in enumerate(dims)]
+    # boxes over the leading dims as ascending row-major cells of those dims;
+    # each further dim refines every box by each of its ranges
+    family = [tuple(span) for span in spans[0]]
+    for d, dim_spans in zip(dims[1:], spans[1:]):
+        family = [tuple(c * d + j for c in box for j in span)
+                  for box in family for span in dim_spans]
     return family
 
 
@@ -148,13 +148,42 @@ def _principal_svdb_logs(G: np.ndarray, subsets: list) -> list:
     return logs
 
 
+def _range_svdb_logs(d: int, subsets: list, logs: list) -> list:
+    """Fill logs[i] for each contiguous subset i of the 1-D all-ranges
+    workload on d cells from one _subrange_map call; returns the indices
+    of the other subsets.
+
+    A range and its mirror image have bit-identical spectra, so each is
+    solved once, as the one with lo + hi <= d + 1.
+    """
+    rest, ranges, slot, members = [], [], {}, []
+    for i, mu in enumerate(subsets):
+        lo, hi = mu[0], mu[-1]
+        if hi - lo + 1 != len(mu):
+            rest.append(i)
+            continue
+        if lo + hi > d + 1:
+            lo, hi = d + 1 - hi, d + 1 - lo
+        j = slot.setdefault((lo, hi), len(ranges))
+        if j == len(ranges):
+            ranges.append((lo, hi))
+        members.append((i, j))
+    if ranges:
+        sums = _subrange_root_sums(d, ranges)
+        for i, j in members:
+            logs[i] = _svdb_log_of_sum(float(sums[j]), len(subsets[i]))
+    return rest
+
+
 def svdb_projected(W: Workload, family):
     """Max of svdb over the column projections in family.
 
     Returns (best value, best subset); ties resolve to the lexicographically
     smallest subset so results are independent of evaluation order. A
-    uniform workload's value depends only on the subset size; any other is
-    read from the principal submatrices of W.gram (_principal_svdb_logs).
+    uniform workload's value depends only on the subset size. On the 1-D
+    all-ranges workload (either storage form) a contiguous subset's value
+    solves the phase equation (_range_svdb_logs). Any other is read from the
+    principal submatrices of W.gram (_principal_svdb_logs).
     """
     subsets = [subset_cells(mu, W.n) for mu in family]
     if not subsets:
@@ -168,7 +197,14 @@ def svdb_projected(W: Workload, family):
                 by_size[k] = uniform_svdb_log(W.uniform.log_diag, W.uniform.log_off, k)
         logs = [by_size[len(mu)] for mu in subsets]
     else:
-        logs = _principal_svdb_logs(W.gram, subsets)
+        logs = [None] * len(subsets)
+        rest = range(len(subsets))
+        if W.is_all_range_1d():
+            rest = _range_svdb_logs(W.n, subsets, logs)
+        if rest:
+            dense = _principal_svdb_logs(W.gram, [subsets[i] for i in rest])
+            for i, l in zip(rest, dense):
+                logs[i] = l
     best_log, best_mu = logs[0], subsets[0]
     for l, mu in zip(logs[1:], subsets[1:]):
         if l > best_log or (l == best_log and mu < best_mu):
@@ -270,16 +306,32 @@ def l1_reference(W: Workload, epsilon: float) -> tuple:
     return svdb(W) / epsilon ** 2, to_float(W.frob_sq_log) / epsilon ** 2
 
 
-# --- fast path for 1-D all-ranges subrange spectra --------------------------
+# --- 1-D all-ranges sub-range spectra: one batched phase-equation kernel ----
 
-# Newton iterations end once every step is below this fraction of its root
+# Newton iterations on a range end once every step is below this fraction of
+# its root
 _PHASE_RTOL = 1e-14
 # safeguarded Newton takes 4-13 passes; bisection alone would need about 50
 _PHASE_MAX_ITER = 100
+# roots iterated together, which bounds the kernel's working memory: about
+# 20 arrays of a block's roots are live at once. 2^12 ran table2's scans up
+# to 20% faster, but its 0.7 MB blocks raised table2's peak RSS by 0.4 MB;
+# at 2^10 the peak is the per-range solver's
+_PHASE_BLOCK_ROOTS = 2 ** 10
 
 
-def range_subrange_eigvals(d: int, lo: int, hi: int) -> np.ndarray:
-    """Spectrum of the 1-D all-ranges Gram restricted to cells lo..hi (1-based).
+def _subrange_map(d: int, ranges, per_block) -> list:
+    """Apply per_block to the spectra of the 1-D all-ranges Gram restricted to
+    cells lo..hi (1-based), for every (lo, hi) in ranges, one block of whole
+    ranges at a time; returns its results in range order.
+
+    per_block(values, starts), starts a list, returns one result per range of
+    the block: its k-th range has eigenvalues values[starts[k]:starts[k + 1]],
+    in descending order. The single cells form one block; the other ranges
+    are packed in order into blocks of at most _PHASE_BLOCK_ROOTS roots, or
+    one longer range. A block's arrays are dropped before the next block is
+    solved, so the working memory stays bounded however many ranges are
+    asked for.
 
     The full Gram is (d+1) times the inverse of the Dirichlet second-difference
     tridiagonal matrix, so the principal submatrix inverts a tridiagonal T of
@@ -293,24 +345,70 @@ def range_subrange_eigvals(d: int, lo: int, hi: int) -> np.ndarray:
 
     psi_x lies in [0, pi/2) with slope above -1/2, so the left side has slope
     above L and each root is alone in [(k-1) pi/(L+1), k pi/(L+1)]: a
-    safeguarded Newton iteration on all L roots at once costs O(L).
-    alpha = beta = 0 gives the DST-I roots k pi/(L+1). Every step is symmetric
-    in alpha and beta, so the mirror range (d+1-hi, d+1-lo) has a
-    bit-identical spectrum. Eigenvalues come out in descending order.
+    safeguarded Newton iteration costs O(L) per range (_phase_block). L = 1
+    has the closed form (d+1) / (2 - alpha - beta). alpha = beta = 0 gives the
+    DST-I roots k pi/(L+1). Every step is symmetric in alpha and beta and acts
+    on each root alone, so the mirror range (d+1-hi, d+1-lo) has a
+    bit-identical spectrum, and a range's spectrum does not depend on the
+    other ranges asked for with it.
     """
-    if not (1 <= lo <= hi <= d):
-        raise DimOutOfRange(f"need 1 <= lo <= hi <= d, got ({lo}, {hi}, {d})")
+    rng = np.array(ranges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = rng[:, 0], rng[:, 1]
+    bad = np.flatnonzero((lo < 1) | (lo > hi) | (hi > d))
+    if bad.size:
+        i = bad[0]
+        raise DimOutOfRange(f"need 1 <= lo <= hi <= d, got ({lo[i]}, {hi[i]}, {d})")
     L = hi - lo + 1
     alpha = (lo - 1) / lo
     beta = (d - hi) / (d - hi + 1)
-    if L == 1:
-        return np.array([(d + 1) / (2.0 - (alpha + beta))])
-    n = L + 1
-    target = np.arange(1, n, dtype=np.float64) * math.pi
-    a = (target - math.pi) / n  # f(a) < 0 <= f(b): the root's bracket
-    b = target / n
-    theta = b.copy()
+    results = [None] * len(L)
+
+    def put(members, values, starts):
+        for k, x in zip(members, per_block(values, starts)):
+            results[k] = x
+
+    cells = np.flatnonzero(L == 1)
+    if cells.size:
+        put(cells.tolist(), (d + 1) / (2.0 - (alpha[cells] + beta[cells])),
+            list(range(cells.size + 1)))
+    solve = np.flatnonzero(L > 1)
+    L, alpha, beta = L[solve], alpha[solve], beta[solve]
+    sizes = L.tolist()
+    i = 0
+    while i < len(sizes):
+        starts, j = [0], i
+        while j < len(sizes) and (j == i or starts[-1] + sizes[j] <= _PHASE_BLOCK_ROOTS):
+            starts.append(starts[-1] + sizes[j])
+            j += 1
+        put(solve[i:j].tolist(), _phase_block(d, L[i:j], alpha[i:j], beta[i:j], starts[-1]),
+            starts)
+        i = j
+    return results
+
+
+def _phase_block(d, L, alpha, beta, size) -> np.ndarray:
+    """Eigenvalues (d+1) / (4 sin^2(theta_k / 2)) of a block of ranges (each
+    L >= 2, size roots in all) from their phase-equation roots, range after
+    range, k = 1..L.
+
+    Every root takes the same safeguarded Newton step. A range leaves the
+    block at the pass where all its steps fall below _PHASE_RTOL of their
+    roots; one still iterating after _PHASE_MAX_ITER passes raises
+    np.linalg.LinAlgError.
+    """
+    first = np.zeros(len(L), dtype=np.intp)  # each range's first root
+    np.cumsum(L[:-1], out=first[1:])
+    target = (np.arange(size) - np.repeat(first, L) + 1) * math.pi
+    # per range, broadcast to its roots: L + 1, alpha, beta. A range alone in
+    # its block (the long trims) keeps them scalar, as cheap in time and
+    # memory as a per-range solve
+    n, alpha, beta = (x[0] if len(L) == 1 else np.repeat(x, L)
+                      for x in (L + 1.0, alpha, beta))
     a2, b2 = alpha * alpha, beta * beta
+    # the bracket [lower, upper] of each root: f(lower) < 0 <= f(upper)
+    lower, upper = (target - math.pi) / n, target / n
+    theta = upper.copy()
+    out = where = None  # the roots that left, and each staying root's place in out
     for _ in range(_PHASE_MAX_ITER):
         cos, sin = np.cos(theta), np.sin(theta)
         ac, bc = alpha * cos, beta * cos
@@ -319,22 +417,59 @@ def range_subrange_eigvals(d: int, lo: int, hi: int) -> np.ndarray:
         # d psi_x / d theta = (x cos - x^2) / (1 + x^2 - 2 x cos)
         slope = (ac - a2) / ((1.0 + a2) - 2.0 * ac) + (bc - b2) / ((1.0 + b2) - 2.0 * bc)
         slope += n
-        np.copyto(a, theta, where=f < 0)
-        np.copyto(b, theta, where=f > 0)
+        np.copyto(lower, theta, where=f < 0)
+        np.copyto(upper, theta, where=f > 0)
         step = theta - f / slope
         # strict tests: a converged root may sit on its bracket's end
-        np.copyto(step, 0.5 * (a + b), where=(step < a) | (step > b))
-        done = np.max(np.abs(step - theta) / theta) <= _PHASE_RTOL
+        np.copyto(step, 0.5 * (lower + upper), where=(step < lower) | (step > upper))
+        done = np.maximum.reduceat(np.abs(step - theta) / theta, first) <= _PHASE_RTOL
         theta = step
-        if done:
-            break
-    return (d + 1) / (4.0 * np.sin(0.5 * theta) ** 2)
+        if done.all():
+            if out is not None:
+                out[where] = theta
+                theta = out
+            return (d + 1) / (4.0 * np.sin(0.5 * theta) ** 2)
+        if done.any():
+            if out is None:
+                out, where = np.empty(size), np.arange(size)
+            leave = np.repeat(done, L)
+            out[where[leave]] = theta[leave]
+            stay = ~leave
+            target, n, alpha, beta, a2, b2, lower, upper, theta, where = (
+                x[stay] for x in (target, n, alpha, beta, a2, b2, lower, upper, theta, where))
+            L = L[~done]
+            first = np.zeros(len(L), dtype=np.intp)
+            np.cumsum(L[:-1], out=first[1:])
+    raise np.linalg.LinAlgError(
+        f"phase equation of {len(L)} sub-ranges did not converge in "
+        f"{_PHASE_MAX_ITER} Newton passes")
+
+
+def _slices(values, starts) -> list:
+    return [values[s:e] for s, e in zip(starts[:-1], starts[1:])]
+
+
+def _subrange_spectra(d: int, ranges) -> list:
+    """Each range's spectrum, descending, in range order (_subrange_map)."""
+    return _subrange_map(d, ranges, _slices)
+
+
+def _subrange_root_sums(d: int, ranges) -> list:
+    """Sum of the square roots of each range's spectrum, in range order,
+    reduced block by block (_subrange_map)."""
+    return _subrange_map(d, ranges, lambda values, starts: [
+        root.sum() for root in _slices(np.sqrt(values), starts)])
+
+
+def range_subrange_eigvals(d: int, lo: int, hi: int) -> np.ndarray:
+    """Spectrum of the 1-D all-ranges Gram restricted to cells lo..hi (1-based),
+    in descending order: a batch of one for _subrange_map."""
+    return _subrange_spectra(d, [(lo, hi)])[0]
 
 
 def range_subrange_svdb(d: int, lo: int, hi: int) -> float:
     """svdb of the 1-D all-ranges workload projected onto cells lo..hi."""
-    ev = np.clip(range_subrange_eigvals(d, lo, hi), 0.0, None)
-    return float(np.sum(np.sqrt(ev)) ** 2 / (hi - lo + 1))
+    return float(_subrange_root_sums(d, [(lo, hi)])[0] ** 2 / (hi - lo + 1))
 
 
 def range_trim_projected_svdb(d: int, max_trim: int = 16):
@@ -347,15 +482,15 @@ def range_trim_projected_svdb(d: int, max_trim: int = 16):
 
     Trims (a, b) and (b, a) are mirror images with bit-identical values, and
     a tie resolves to the one with the smaller left trim, so only b >= a is
-    evaluated.
+    evaluated, all in one _subrange_map call.
     """
+    ranges = [(1 + a, d - b) for a in range(0, min(max_trim, d - 1) + 1)
+              for b in range(a, min(max_trim, d - 1 - a) + 1)]
     best, arg = -math.inf, None
-    for a in range(0, min(max_trim, d - 1) + 1):
-        for b in range(a, min(max_trim, d - 1 - a) + 1):
-            lo, hi = 1 + a, d - b
-            v = range_subrange_svdb(d, lo, hi)
-            if v > best:
-                best, arg = v, (lo, hi)
+    for (lo, hi), s in zip(ranges, _subrange_root_sums(d, ranges)):
+        v = float(s ** 2 / (hi - lo + 1))
+        if v > best:
+            best, arg = v, (lo, hi)
     return best, arg
 
 

@@ -212,6 +212,12 @@ class Workload:
             self._keep_eigvals(pair.values[::-1])
         return pair
 
+    def is_all_range_1d(self) -> bool:
+        """True when the Gram is the 1-D all-ranges Gram on n cells, in either
+        storage form: a projection onto contiguous cells then has the
+        phase-equation spectrum of bounds._subrange_map."""
+        return False
+
     def _keep_eigvals(self, values):
         values = np.ascontiguousarray(values)
         values.setflags(write=False)
@@ -347,6 +353,9 @@ class _AllRange1D(Workload):
 
     def _form_gram(self) -> np.ndarray:
         return range_gram_1d(self.n)  # the rows' Gram, exactly
+
+    def is_all_range_1d(self) -> bool:
+        return True
 
     def gram_diag(self) -> np.ndarray:
         i = np.arange(1, self.n + 1, dtype=np.float64)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -40,8 +41,14 @@ from querybound import (
     tightness_certificate,
     variable_agnostic_svdb,
 )
-from querybound import numkernel, workloads
-from querybound.bounds import PROJECTION_BLOCK_FLOATS, uniform_svdb_log
+from querybound import bounds, cli, numkernel, workloads
+from querybound.bounds import (
+    PROJECTION_BLOCK_FLOATS,
+    _principal_svdb_logs,
+    _range_svdb_logs,
+    _subrange_spectra,
+    uniform_svdb_log,
+)
 from querybound.privacy import PrivacyParams
 
 # frozen from the Faddeev-LeVerrier characteristic polynomial oracle
@@ -185,9 +192,9 @@ def test_svdb_projected_uniform_scans_by_size():
 
 
 def test_svdb_projected_mirror_ranges_tie_to_the_smaller():
-    # a range and its mirror image have permuted Grams of equal spectrum;
-    # where the two solves agree bit for bit, the smaller subset wins in
-    # either family order
+    # a range and its mirror image have permuted Grams of equal spectrum,
+    # which the phase equation gives bit for bit: every pair ties, and the
+    # smaller subset wins in either family order
     d = 9
     W = all_range([d])
     ties = 0
@@ -200,7 +207,8 @@ def test_svdb_projected_mirror_ranges_tie_to_the_smaller():
         for family in ([mu, mirror], [mirror, mu]):
             assert svdb_projected(W, family) == (max(a, b), mu if a >= b else mirror)
         ties += a == b
-    assert ties >= d // 2  # at least every single-cell pair
+    symmetric = (d + 1) // 2  # ranges that are their own mirror
+    assert ties == (d * (d + 1) // 2 - symmetric) // 2
 
 
 def test_svdb_projected_raises_on_an_indefinite_projection():
@@ -368,17 +376,157 @@ def _assert_subrange_matches_dense(d, lo, hi, G):
 def test_range_subrange_phase_equation_every_range_up_to_64():
     # svdb is checked on the same spectra (range_subrange_svdb only sums them);
     # of each mirror pair only the range with lo + hi <= d + 1 is solved, as the
-    # mirror test below shows the other's spectrum is bit-identical
+    # mirror test below shows the other's spectrum is bit-identical. All ranges
+    # of one length take one kernel call and one batched eigvalsh, and a sample
+    # of the kernel's rows is checked against the scalar function bit for bit
+    rng = np.random.default_rng(50)
     for d in range(1, 65):
         G = range_gram_1d(d)
-        for L in range(1, d + 1):  # all ranges of one length: one batched eigvalsh
+        for L in range(1, d + 1):
             los = range(1, (d - L + 2) // 2 + 1)
             dense = np.linalg.eigvalsh(np.stack([G[lo - 1:lo - 1 + L, lo - 1:lo - 1 + L]
                                                  for lo in los]))
-            fast = np.sort([range_subrange_eigvals(d, lo, lo + L - 1) for lo in los], axis=1)
+            rows = np.array(_subrange_spectra(d, [(lo, lo + L - 1) for lo in los]))
+            fast = np.sort(rows, axis=1)
             np.testing.assert_allclose(fast, dense, rtol=1e-9)
             np.testing.assert_allclose(np.sum(np.sqrt(fast), axis=1) ** 2 / L,
                                        np.sum(np.sqrt(dense), axis=1) ** 2 / L, rtol=1e-10)
+            if rng.random() < 0.25:
+                i = int(rng.integers(len(los)))
+                np.testing.assert_array_equal(
+                    rows[i], range_subrange_eigvals(d, los[i], los[i] + L - 1))
+
+
+def test_subrange_kernel_does_not_depend_on_batch_order_size_or_blocks(monkeypatch):
+    rng = np.random.default_rng(51)
+    d = 200
+    ranges = [(1, d), (2, d - 1), (7, 7), (1, 1), (d, d), (3, 4)]
+    for lo in rng.integers(1, d + 1, 120):
+        ranges.append((int(lo), int(rng.integers(lo, d + 1))))
+    ranges = list(dict.fromkeys(ranges))
+    ref = _spectra_by_range(d, ranges)
+    for r in ranges[:8] + ranges[-4:]:  # batches of one: the scalar function
+        np.testing.assert_array_equal(range_subrange_eigvals(d, *r), ref[r])
+    shuffled = [ranges[i] for i in rng.permutation(len(ranges))]
+    cut = sorted(int(c) for c in rng.integers(1, len(ranges), 5))
+    batches = [shuffled[:cut[0]]] + [shuffled[a:b] for a, b in zip(cut, cut[1:])] + \
+        [shuffled[cut[-1]:]]
+    for budget in (1, 37, 500, bounds._PHASE_BLOCK_ROOTS, 10 ** 6):
+        monkeypatch.setattr(bounds, "_PHASE_BLOCK_ROOTS", budget)
+        got = {}
+        for batch in batches:
+            got.update(_spectra_by_range(d, batch))
+        assert got.keys() == ref.keys()
+        for r in ranges:
+            np.testing.assert_array_equal(got[r], ref[r])
+
+
+def test_subrange_kernel_single_cells_take_the_closed_form():
+    assert range_subrange_eigvals(1, 1, 1).tolist() == [1.0]
+    assert range_subrange_svdb(1, 1, 1) == 1.0
+    for d in (2, 5, 64, 2048):
+        cells = list(range(1, d + 1, max(1, d // 50)))
+        spectra = _subrange_spectra(d, [(i, i) for i in cells] + [(1, d)])
+        assert spectra[-1].size == d
+        for i, (v,) in zip(cells, spectra):
+            assert v == (d + 1) / (2.0 - ((i - 1) / i + (d - i) / (d - i + 1)))
+            # G_ii; 2 - alpha - beta cancels, so rounding grows with d
+            np.testing.assert_allclose(v, i * (d + 1 - i), rtol=d * 1e-15)
+
+
+def test_subrange_kernel_rejects_invalid_ranges():
+    for bad in ((0, 1), (3, 2), (1, 9), (9, 9), (-1, 4)):
+        with pytest.raises(DimOutOfRange, match="need 1 <= lo <= hi <= d"):
+            range_subrange_eigvals(8, *bad)
+        with pytest.raises(DimOutOfRange, match="need 1 <= lo <= hi <= d"):
+            range_subrange_svdb(8, *bad)
+        with pytest.raises(DimOutOfRange, match="need 1 <= lo <= hi <= d"):
+            _subrange_spectra(8, [(1, 8), bad, (2, 3)])
+
+
+def test_subrange_kernel_raises_linalg_error_when_newton_does_not_converge(
+        monkeypatch, capsys):
+    monkeypatch.setattr(bounds, "_PHASE_MAX_ITER", 1)
+    assert range_subrange_eigvals(10, 4, 4).size == 1  # closed form: no iteration
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge in 1 Newton"):
+        range_subrange_eigvals(10, 2, 9)
+    with pytest.raises(np.linalg.LinAlgError):
+        range_trim_projected_svdb(64, 4)
+    assert cli.main(["bound", "--cells", "10", "--projections", "ranges"]) == 3
+    assert "LinAlgError: phase equation" in capsys.readouterr().err
+
+
+def _dense_route(d):
+    """The 1-D all-ranges Gram as a plain Gram: its projections take the
+    batched eigvalsh route."""
+    return Workload.from_gram(range_gram_1d(d))
+
+
+def test_svdb_projected_on_1d_ranges_agrees_with_the_dense_route():
+    for d in range(1, 49):
+        family = range_projection_family([d])
+        logs = [None] * len(family)
+        assert _range_svdb_logs(d, family, logs) == []
+        dense = np.exp(_principal_svdb_logs(range_gram_1d(d), family))
+        np.testing.assert_allclose(np.exp(logs), dense, rtol=1e-10)
+        W = all_range([d])
+        assert W.is_explicit and W.is_all_range_1d()
+        v, mu = svdb_projected(W, family)
+        assert v == math.exp(max(logs))
+        np.testing.assert_allclose(v, dense.max(), rtol=1e-10)
+        assert mu[0] + mu[-1] <= d + 1  # of a mirror pair, the smaller lo
+
+
+def test_svdb_projected_on_a_gram_form_range_workload_forms_no_gram():
+    d = 300
+    W = all_range([d])
+    assert not W.is_explicit and W.is_all_range_1d()
+    rng = np.random.default_rng(52)
+    family = [tuple(range(1 + a, d + 1 - b)) for a in range(3) for b in range(3)]
+    for lo in rng.integers(1, d + 1, 12):
+        family.append(tuple(range(int(lo), int(rng.integers(lo, d + 1)) + 1)))
+    v, mu = svdb_projected(W, family)
+    assert W._gram is None
+    v_dense, _ = svdb_projected(_dense_route(d), family)
+    np.testing.assert_allclose(v, v_dense, rtol=1e-10)
+    np.testing.assert_allclose(svdb(column_project(_dense_route(d), mu)), v, rtol=1e-10)
+
+
+def test_csv_family_mixing_ranges_and_other_subsets_matches_the_dense_route(
+        tmp_path, capsys):
+    d = 20
+    family = [(1,), (2, 3), (5, 6, 7), (16, 15, 17), (4, 9), (1, 3, 5, 7, 9, 11), (20,),
+              (3, 4, 5, 6, 7, 8, 9, 10, 11), (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)]
+    path = tmp_path / "family.csv"
+    path.write_text("".join(",".join(map(str, mu)) + "\n" for mu in family))
+    v_dense, mu_dense = svdb_projected(_dense_route(d), family)
+    for W in (all_range([d]), Workload.from_gram(range_gram_1d(d))):
+        v, mu = svdb_projected(W, family)
+        np.testing.assert_allclose(v, v_dense, rtol=1e-10)
+        assert mu == mu_dense == family[-1]
+    for mu in family:  # each subset alone, whichever route it takes
+        np.testing.assert_allclose(svdb_projected(all_range([d]), [mu])[0],
+                                   svdb_projected(_dense_route(d), [mu])[0], rtol=1e-10)
+    assert cli.main(["bound", "--cells", str(d), "--projections", f"csv:{path}"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    np.testing.assert_allclose(doc["projected_svdb"], v_dense, rtol=1e-10)
+    assert tuple(doc["projected_subset"]) == mu_dense
+
+
+def test_range_projection_family_matches_a_plain_reference():
+    def reference(dims):
+        per_dim = [[range(lo, hi + 1) for lo in range(d) for hi in range(lo, d)]
+                   for d in dims]
+        family = []
+        for box in itertools.product(*per_dim):
+            cells = [int(np.ravel_multi_index(ix, dims)) + 1
+                     for ix in itertools.product(*box)]
+            family.append(tuple(sorted(cells)))
+        return family
+    for dims in ([1], [5], [3, 4], [2, 2, 2]):
+        family = range_projection_family(dims)
+        assert family == reference(dims)
+        assert all(type(c) is int for mu in family for c in mu)
 
 
 def test_range_subrange_phase_equation_random_trims_at_256_and_2048():
@@ -393,8 +541,13 @@ def test_range_subrange_phase_equation_random_trims_at_256_and_2048():
         _assert_subrange_matches_dense(d, lo, int(rng.integers(lo, d + 1)), G)
 
 
+def _spectra_by_range(d, ranges):
+    return dict(zip(ranges, _subrange_spectra(d, ranges)))
+
+
 def test_range_subrange_mirror_ranges_have_identical_spectra():
-    # the scans evaluate one range per mirror pair, relying on exact equality
+    # the scans evaluate one range per mirror pair, relying on exact equality,
+    # whether the two are solved alone or in one batch
     rng = np.random.default_rng(49)
     cases = [(2, 1, 1), (7, 1, 3), (2048, 3, 2040), (2048, 17, 2048)]
     for d in (16, 64, 256):
@@ -403,6 +556,12 @@ def test_range_subrange_mirror_ranges_have_identical_spectra():
     for d, lo, hi in cases:
         np.testing.assert_array_equal(range_subrange_eigvals(d, lo, hi),
                                       range_subrange_eigvals(d, d + 1 - hi, d + 1 - lo))
+    for d in {c[0] for c in cases}:
+        ranges = [(lo, hi) for e, lo, hi in cases if e == d]
+        mirrors = [(d + 1 - hi, d + 1 - lo) for lo, hi in ranges]
+        spectra = _spectra_by_range(d, ranges + mirrors)
+        for r, m in zip(ranges, mirrors):
+            np.testing.assert_array_equal(spectra[r], spectra[m])
 
 
 def test_range_trim_scan_returns_first_maximum_in_scan_order():

@@ -9,7 +9,8 @@ eigenpairs of 1-D ranges, the identity, Haar and regular trees diagonalize
 their Grams, and errors through them agree with the same Grams solved
 densely. The analytic error never falls below the spectral bound, and
 sqrt(svdb) is subadditive under union. The batched projection scan is the
-per-subset scan, bit for bit on integer workloads. A block of noise draws
+per-subset scan, bit for bit on integer workloads, with each subset solved
+by the rule the scan applies to it. A block of noise draws
 equals the per-trial streams bit for bit. Examples are drawn deterministically, so every
 run checks the same ones.
 """
@@ -41,6 +42,7 @@ from querybound import (
     kron_strategy,
     range_gram_1d,
     range_projection_family,
+    range_subrange_eigvals,
     sqrt_strategy,
     svdb,
     svdb_log,
@@ -271,10 +273,20 @@ def test_irregular_trees_and_derived_workloads_carry_no_basis(eigensolves):
         assert eigensolves == [X.n]
 
 
+def _subset_svdb_log(W, mu):
+    """ln svdb of one projection, by the rule svdb_projected applies to it: a
+    contiguous range of the 1-D all-ranges workload from its phase-equation
+    spectrum, any other subset from the projected workload's eigensolve."""
+    if W.is_all_range_1d() and mu[-1] - mu[0] + 1 == len(mu):
+        s = np.sum(np.sqrt(range_subrange_eigvals(W.n, mu[0], mu[-1])))
+        return 2.0 * math.log(s) - math.log(len(mu))
+    return svdb_log(column_project(W, mu))
+
+
 def _projected_by_subset(W, family):
-    """max of svdb_log(column_project(W, mu)) over the family, and the
-    smallest subset that attains it."""
-    logs = {tuple(sorted(set(mu))): svdb_log(column_project(W, mu)) for mu in family}
+    """max of _subset_svdb_log(W, mu) over the family, and the smallest
+    subset that attains it."""
+    logs = {mu: _subset_svdb_log(W, mu) for mu in {tuple(sorted(set(mu))) for mu in family}}
     top = max(logs.values())
     return to_float(top), min(mu for mu, l in logs.items() if l == top)
 
