@@ -163,6 +163,48 @@ def test_run_output_is_pinned_byte_for_byte(flags, body, svd_pinned, capsys):
     np.testing.assert_allclose([rep["mean"], rep["stderr"]], svd_pinned, rtol=1e-13)
 
 
+# md5 of stdout then stderr of `bound` and `eval` requests, one for each route
+# of the bound analysis: explicit and Gram-form 1-D ranges, a product grid,
+# a uniform log-space Gram, projection scans (exhaustive on explicit rows,
+# the sub-range kernel), a weighted cube, and every strategy. Pinned at
+# OpenBLAS on one thread and at its default
+BOUND_EVAL_GOLDEN = {
+    "bound-1d-explicit": (["bound", "--cells", "40"], "b058b0de162932ec3891ef5771eaf8ad"),
+    "bound-1d-gram": (["bound", "--cells", "300"], "47af078fcb94d05fdd91196c4489a8a4"),
+    "bound-grid": (["bound", "--dims", "16,32"], "91d3ff4ef2bad5408efe8541c121896e"),
+    "bound-predicate-uniform": (
+        ["bound", "--workload", "all-predicate", "--cells", "300"],
+        "5f1678ee35f7b9efa8d639af88919324"),
+    "bound-predicate-exhaustive": (
+        ["bound", "--workload", "all-predicate", "--cells", "8", "--projections", "exhaustive"],
+        "a0faedd658b33ed512da63764b49de24"),
+    "bound-ranges": (["bound", "--cells", "40", "--projections", "ranges"],
+                     "d8297f2ffacaf94cccf16f13e6b83cfa"),
+    "bound-cube": (
+        ["bound", "--workload", "data-cube", "--dims", "3,4,5", "--cuboids", "1,2;3;;",
+         "--weights", "1.5,0.75,2", "--epsilon", "0.5"],
+        "b293d16fec1647b7b57a7793e716e160"),
+    "eval-identity": (["eval", "--cells", "40", "--strategy", "identity"],
+                      "e3eb77936983ba35358c2286ae0d2231"),
+    "eval-workload": (["eval", "--cells", "40", "--strategy", "workload"],
+                      "204e4b46e2a9d29085428698103ca984"),
+    "eval-hierarchical": (["eval", "--cells", "40", "--strategy", "hierarchical"],
+                          "757bc1817fd53fecc7ab3fe0c2071a81"),
+    "eval-sqrt": (["eval", "--cells", "40", "--strategy", "sqrt"],
+                  "fad3bf5c96e38644bc4d77fd95f99f2e"),
+    "eval-haar": (["eval", "--cells", "32", "--strategy", "haar"],
+                  "796fb99a73fd0fb4617852e84a5757e9"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", BOUND_EVAL_GOLDEN.values(),
+                         ids=BOUND_EVAL_GOLDEN.keys())
+def test_bound_and_eval_output_is_pinned_byte_for_byte(argv, digest, capsys):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert hashlib.md5((captured.out + captured.err).encode()).hexdigest() == digest
+
+
 def test_exit_2_on_a_negative_seed(capsys):
     assert cli.main(["run", "--workload", "all-range", "--cells", "2",
                      "--trials", "2", "--seed", "-1"]) == 2
