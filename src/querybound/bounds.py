@@ -25,7 +25,7 @@ from .exceptions import (
 from .logspace import json_num, log_add, log10_of, to_float
 from .numkernel import clean_spectrum, kron_matvec
 from .privacy import p_factor_of
-from .workloads import UniformGram, Workload, column_project, subset_cells
+from .workloads import UniformGram, Workload, _check_dims, subset_cells
 
 RANGE_FAMILY_CAP = 10 ** 6
 # floats in one stacked block of projected Grams (8 MiB): svdb_projected's
@@ -40,13 +40,9 @@ def _root_sums(values: np.ndarray):
     return np.sum(np.sqrt(clean_spectrum(values)), axis=-1)
 
 
-def _singular_value_sum(W: Workload) -> float:
-    """Sum of sqrt Gram eigenvalues, read from the workload's spectrum cache."""
-    return float(_root_sums(W.gram_eigvals()))
-
-
 def _svdb_log_of_sum(s: float, n: int) -> float:
-    """ln(s^2 / n); -inf for a zero sum, with no warning."""
+    """ln(s^2 / n), the svdb of n cells whose singular values sum to s; -inf
+    for a zero sum, with no warning. Every svdb not in closed form is this."""
     return 2.0 * math.log(s) - math.log(n) if s > 0 else -math.inf
 
 
@@ -66,14 +62,12 @@ def svdb_log(W: Workload) -> float:
     """ln svdb(W); always finite even when svdb overflows float64."""
     if W.uniform is not None:
         return uniform_svdb_log(W.uniform.log_diag, W.uniform.log_off, W.n)
-    return _svdb_log_of_sum(_singular_value_sum(W), W.n)
+    return _svdb_log_of_sum(float(_root_sums(W.gram_eigvals())), W.n)
 
 
 def svdb(W: Workload) -> float:
     """(sum of sqrt Gram eigenvalues)^2 / n; inf if beyond float range."""
-    if W.uniform is not None:
-        return to_float(svdb_log(W))
-    return _singular_value_sum(W) ** 2 / W.n
+    return to_float(svdb_log(W))
 
 
 def variable_agnostic_svdb(diag: float, off: float, n: int) -> float:
@@ -94,8 +88,6 @@ def variable_agnostic_svdb(diag: float, off: float, n: int) -> float:
 
 def range_projection_family(dims) -> list:
     """All axis-aligned sub-ranges of the grid, as 1-based cell subsets."""
-    from .workloads import _check_dims
-
     dims = _check_dims(dims)
     count = math.prod(d * (d + 1) // 2 for d in dims)
     if count > RANGE_FAMILY_CAP:
@@ -168,43 +160,51 @@ def _range_svdb_logs(d: int, subsets: list, logs: list) -> list:
         if j == len(ranges):
             ranges.append((lo, hi))
         members.append((i, j))
-    if ranges:
-        sums = _subrange_root_sums(d, ranges)
-        for i, j in members:
-            logs[i] = _svdb_log_of_sum(float(sums[j]), len(subsets[i]))
+    range_logs = _subrange_svdb_logs(d, ranges)
+    for i, j in members:
+        logs[i] = range_logs[j]
     return rest
+
+
+def _projected_svdb_logs(W: Workload, subsets: list) -> list:
+    """ln svdb of W's column projection on each subset (sorted distinct
+    1-based cells), in order, with no projected workload built.
+
+    A uniform workload's value depends only on the subset size, so each size
+    is evaluated once. On the 1-D all-ranges workload (either storage form)
+    a contiguous subset's value solves the phase equation (_range_svdb_logs).
+    Any other is read from the principal submatrices of W.gram
+    (_principal_svdb_logs).
+    """
+    if W.uniform is not None:
+        by_size = {}
+        for mu in subsets:
+            k = len(mu)
+            if k not in by_size:
+                by_size[k] = uniform_svdb_log(W.uniform.log_diag, W.uniform.log_off, k)
+        return [by_size[len(mu)] for mu in subsets]
+    logs = [None] * len(subsets)
+    rest = range(len(subsets))
+    if W.is_all_range_1d():
+        rest = _range_svdb_logs(W.n, subsets, logs)
+    if rest:
+        dense = _principal_svdb_logs(W.gram, [subsets[i] for i in rest])
+        for i, l in zip(rest, dense):
+            logs[i] = l
+    return logs
 
 
 def svdb_projected(W: Workload, family):
     """Max of svdb over the column projections in family.
 
     Returns (best value, best subset); ties resolve to the lexicographically
-    smallest subset so results are independent of evaluation order. A
-    uniform workload's value depends only on the subset size. On the 1-D
-    all-ranges workload (either storage form) a contiguous subset's value
-    solves the phase equation (_range_svdb_logs). Any other is read from the
-    principal submatrices of W.gram (_principal_svdb_logs).
+    smallest subset so results are independent of evaluation order. Each
+    subset's value comes from _projected_svdb_logs.
     """
     subsets = [subset_cells(mu, W.n) for mu in family]
     if not subsets:
         raise DimOutOfRange("projection family is empty")
-    if W.uniform is not None:
-        # value depends only on subset size; evaluate each size once
-        by_size = {}
-        for mu in subsets:
-            k = len(mu)
-            if k not in by_size:
-                by_size[k] = uniform_svdb_log(W.uniform.log_diag, W.uniform.log_off, k)
-        logs = [by_size[len(mu)] for mu in subsets]
-    else:
-        logs = [None] * len(subsets)
-        rest = range(len(subsets))
-        if W.is_all_range_1d():
-            rest = _range_svdb_logs(W.n, subsets, logs)
-        if rest:
-            dense = _principal_svdb_logs(W.gram, [subsets[i] for i in rest])
-            for i, l in zip(rest, dense):
-                logs[i] = l
+    logs = _projected_svdb_logs(W, subsets)
     best_log, best_mu = logs[0], subsets[0]
     for l, mu in zip(logs[1:], subsets[1:]):
         if l > best_log or (l == best_log and mu < best_mu):
@@ -222,8 +222,8 @@ def greedy_projected_svdb(W: Workload, restarts: int = 8, seed: int = 0):
     n = W.n
 
     def value(mask):
-        mu = tuple(np.flatnonzero(mask) + 1)
-        return svdb_log(column_project(W, mu)), mu
+        mu = tuple((np.flatnonzero(mask) + 1).tolist())
+        return _projected_svdb_logs(W, [mu])[0], mu
 
     best = value(np.ones(n, dtype=bool))
     for r in range(max(1, int(restarts))):
@@ -248,8 +248,10 @@ def greedy_projected_svdb(W: Workload, restarts: int = 8, seed: int = 0):
     return to_float(best[0]), best[1]
 
 
-def _sqrt_diag_and_trace(W: Workload) -> tuple:
-    """(diag(sqrt(G)), trace(sqrt(G))) of W's Gram G, cut off as psd_sqrt.
+def _sqrt_certificate(G) -> tuple:
+    """(tight, diag_spread, max diagonal, trace) of sqrt(G), cut off as
+    psd_sqrt, for a Workload or a Gram matrix G (which enters as
+    Workload.from_gram).
 
     The diagonal is sum_k v_ik^2 sqrt(s_k) over G's eigenpairs (s_k, v_k),
     and nothing n x n is formed. A product takes them from its factors'
@@ -257,6 +259,7 @@ def _sqrt_diag_and_trace(W: Workload) -> tuple:
     the Kronecker mat-vec of their squared eigenvectors. Any other workload
     takes them from W.gram_eig() through an einsum.
     """
+    W = G if isinstance(G, Workload) else Workload.from_gram(G)
     if W.factors is None:
         pair = W.gram_eig()
         root = np.sqrt(clean_spectrum(pair.values))
@@ -265,12 +268,9 @@ def _sqrt_diag_and_trace(W: Workload) -> tuple:
         pairs = [f.gram_eig() for f in W.factors]
         root = np.sqrt(clean_spectrum(reduce(np.kron, [p.values for p in pairs])))
         diag = kron_matvec([p.vectors * p.vectors for p in pairs], root)
-    return diag, float(np.sum(root))
-
-
-def _diag_spread(diag: np.ndarray) -> float:
     dmax = float(diag.max(initial=0.0))
-    return float((dmax - diag.min()) / dmax) if dmax > 0 else 0.0
+    spread = float((dmax - diag.min()) / dmax) if dmax > 0 else 0.0
+    return spread <= TIGHT_SPREAD_TOL, spread, dmax, float(np.sum(root))
 
 
 def tightness_certificate(G) -> tuple:
@@ -280,9 +280,7 @@ def tightness_certificate(G) -> tuple:
     coincide; diag_spread = (max - min) / max of that diagonal. G is a
     Workload or a Gram matrix, which enters as Workload.from_gram.
     """
-    W = G if isinstance(G, Workload) else Workload.from_gram(G)
-    spread = _diag_spread(_sqrt_diag_and_trace(W)[0])
-    return spread <= TIGHT_SPREAD_TOL, spread
+    return _sqrt_certificate(G)[:2]
 
 
 def looseness_upper_bound(G, params=None) -> float:
@@ -292,9 +290,8 @@ def looseness_upper_bound(G, params=None) -> float:
     whose Gram is sqrt(G); collapses to P * svdb when the certificate holds.
     G is taken as in tightness_certificate.
     """
-    W = G if isinstance(G, Workload) else Workload.from_gram(G)
-    diag, trace = _sqrt_diag_and_trace(W)
-    return p_factor_of(params) * float(np.max(diag)) * trace
+    _, _, dmax, trace = _sqrt_certificate(G)
+    return p_factor_of(params) * dmax * trace
 
 
 def l1_reference(W: Workload, epsilon: float) -> tuple:
@@ -454,11 +451,11 @@ def _subrange_spectra(d: int, ranges) -> list:
     return _subrange_map(d, ranges, _slices)
 
 
-def _subrange_root_sums(d: int, ranges) -> list:
-    """Sum of the square roots of each range's spectrum, in range order,
-    reduced block by block (_subrange_map)."""
+def _subrange_svdb_logs(d: int, ranges) -> list:
+    """ln svdb of each range, in range order, from the sum of the square roots
+    of its spectrum, reduced block by block (_subrange_map)."""
     return _subrange_map(d, ranges, lambda values, starts: [
-        root.sum() for root in _slices(np.sqrt(values), starts)])
+        _svdb_log_of_sum(root.sum(), root.size) for root in _slices(np.sqrt(values), starts)])
 
 
 def range_subrange_eigvals(d: int, lo: int, hi: int) -> np.ndarray:
@@ -469,7 +466,7 @@ def range_subrange_eigvals(d: int, lo: int, hi: int) -> np.ndarray:
 
 def range_subrange_svdb(d: int, lo: int, hi: int) -> float:
     """svdb of the 1-D all-ranges workload projected onto cells lo..hi."""
-    return float(_subrange_root_sums(d, [(lo, hi)])[0] ** 2 / (hi - lo + 1))
+    return to_float(_subrange_svdb_logs(d, [(lo, hi)])[0])
 
 
 def range_trim_projected_svdb(d: int, max_trim: int = 16):
@@ -484,11 +481,13 @@ def range_trim_projected_svdb(d: int, max_trim: int = 16):
     a tie resolves to the one with the smaller left trim, so only b >= a is
     evaluated, all in one _subrange_map call.
     """
+    if d < 1 or max_trim < 0:
+        raise DimOutOfRange(f"need d >= 1 and max_trim >= 0, got d={d}, max_trim={max_trim}")
     ranges = [(1 + a, d - b) for a in range(0, min(max_trim, d - 1) + 1)
               for b in range(a, min(max_trim, d - 1 - a) + 1)]
     best, arg = -math.inf, None
-    for (lo, hi), s in zip(ranges, _subrange_root_sums(d, ranges)):
-        v = float(s ** 2 / (hi - lo + 1))
+    for (lo, hi), l in zip(ranges, _subrange_svdb_logs(d, ranges)):
+        v = to_float(l)
         if v > best:
             best, arg = v, (lo, hi)
     return best, arg
@@ -554,19 +553,16 @@ class BoundReport:
 
 def bound_report(W: Workload, projections=None, epsilon: float = 1.0) -> BoundReport:
     """Assemble the full bound report; projections is an optional family."""
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise DimOutOfRange(f"epsilon must be positive, got {epsilon}")
     if W.uniform is not None:
         # constant-diagonal sqrt(Gram): certificate holds with zero spread
         tight, spread, loose = True, 0.0, 1.0
     else:
         # the one eigensolve (one per factor for a product): it also fills the
-        # spectrum cache svdb_log reads
-        d, tr = _sqrt_diag_and_trace(W)
-        spread = _diag_spread(d)
-        tight = spread <= TIGHT_SPREAD_TOL
-        loose = W.n * float(d.max(initial=0.0)) / tr if tr > 0 else 1.0
+        # spectrum cache svdb_log and l1_reference read
+        tight, spread, dmax, trace = _sqrt_certificate(W)
+        loose = W.n * dmax / trace if trace > 0 else 1.0
     s_log = svdb_log(W)
+    l1_svdb, l1_geometric = l1_reference(W, epsilon)
     projected_v, projected_mu = (None, None)
     if projections is not None:
         projected_v, projected_mu = svdb_projected(W, projections)
@@ -578,6 +574,6 @@ def bound_report(W: Workload, projections=None, epsilon: float = 1.0) -> BoundRe
         tight=tight,
         diag_spread=spread,
         looseness_factor=loose,
-        l1_svdb=to_float(s_log) / epsilon ** 2,
-        l1_geometric=to_float(W.frob_sq_log) / epsilon ** 2,
+        l1_svdb=l1_svdb,
+        l1_geometric=l1_geometric,
     )

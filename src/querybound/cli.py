@@ -15,6 +15,7 @@ from .bounds import (
     predicate_projected_ratio,
     range_projected_ratio,
     range_projection_family,
+    svdb_log,
 )
 from .exceptions import (
     DimensionMismatch,
@@ -24,7 +25,7 @@ from .exceptions import (
     QueryBoundError,
     SupportViolation,
 )
-from .logspace import fmt_log10, json_num
+from .logspace import fmt_log10, json_num, log10_of
 from .mechanism import empirical_error
 from .privacy import PrivacyParams
 from .strategies import (
@@ -196,14 +197,14 @@ def cmd_run(args) -> int:
 
 
 def _table_row(name, W, svdb_u_ratio, dims, fanout):
-    rep = bound_report(W)
+    s_log10 = log10_of(svdb_log(W))
     makers = [identity_strategy, lambda d: hierarchical_strategy(d, fanout), haar_strategy]
     ratios = [evaluate_strategy(W, kron_strategy([make(d) for d in dims])).ratio_to_svdb
               for make in makers]
     return [
         name,
-        fmt_log10(rep.svdb_log10),
-        f"{rep.svdb_log10:.6f}",
+        fmt_log10(s_log10),
+        f"{s_log10:.6f}",
         f"{svdb_u_ratio:.6g}",
         *[f"{r:.6g}" for r in ratios],
         NOT_IMPLEMENTED_EIGEN,

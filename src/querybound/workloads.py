@@ -245,12 +245,14 @@ class Workload:
 
 def _range_rows_1d(d: int) -> np.ndarray:
     """Indicator rows of all d(d+1)/2 contiguous ranges, (start, end) lexicographic."""
+    # the ranges starting at lo are a lower-triangular block of ones from
+    # column lo: one assignment per start, and no temporary of the rows' size
     rows = np.zeros((d * (d + 1) // 2, d))
+    T = np.tri(d, dtype=bool)
     k = 0
     for lo in range(d):
-        for hi in range(lo, d):
-            rows[k, lo:hi + 1] = 1.0
-            k += 1
+        rows[k:k + d - lo, lo:] = T[:d - lo, :d - lo]
+        k += d - lo
     return rows
 
 
@@ -428,21 +430,20 @@ def data_cube(dims, cuboids, weights) -> Workload:
     if any(not (w > 0 and math.isfinite(w)) for w in weights):
         raise DimOutOfRange(f"weights must be positive finite, got {weights}")
 
+    def parts(c):  # cuboid c's rows: the Kronecker product of these
+        return [np.eye(d) if (a + 1) in c else np.ones((1, d)) for a, d in enumerate(dims)]
+
     n = math.prod(dims)
     m = sum(math.prod(dims[a - 1] for a in c) for c in cuboids)
     if n <= EXPLICIT_CELL_CAP and m * n <= EXPLICIT_ENTRY_CAP:
-        blocks = []
-        for c, w in zip(cuboids, weights):
-            parts = [np.eye(d) if (a + 1) in c else np.ones((1, d))
-                     for a, d in enumerate(dims)]
-            blocks.append(w * reduce(np.kron, parts))
-        return Workload.from_matrix(np.vstack(blocks), dedup=False)
+        return Workload.from_matrix(
+            np.vstack([w * reduce(np.kron, parts(c)) for c, w in zip(cuboids, weights)]),
+            dedup=False)
     check_gram_cells(n)
     G = np.zeros((n, n))
     for c, w in zip(cuboids, weights):
-        parts = [np.eye(d) if (a + 1) in c else np.ones((d, d))
-                 for a, d in enumerate(dims)]
-        G += w * w * reduce(np.kron, parts)
+        # an identity is its own Gram, and I_d.T @ I_d would cost d^3 flops
+        G += w * w * reduce(np.kron, [p.T @ p if len(p) == 1 else p for p in parts(c)])
     return _exact_gram(G, query_count=m)
 
 

@@ -274,6 +274,17 @@ def test_greedy_finds_the_witness_projection():
     assert mu == (1,)
 
 
+def test_greedy_returns_python_int_cells_valued_as_their_projection():
+    # each route of the projected evaluator: principal submatrices (explicit
+    # rows, a plain Gram), the sub-range kernel and the uniform closed form
+    for W in (witness_workload(8), all_range([7]), Workload.from_gram(range_gram_1d(6)),
+              all_predicate_gram(18)):
+        v, mu = greedy_projected_svdb(W, restarts=3, seed=1)
+        assert all(type(c) is int for c in mu)
+        assert json.loads(json.dumps(mu)) == list(mu)
+        np.testing.assert_allclose(v, svdb(column_project(W, mu)), rtol=1e-12)
+
+
 def test_tightness_certificate_examples():
     tight, spread = tightness_certificate(all_predicate_gram(4).gram)
     assert tight and spread <= 1e-12
@@ -442,6 +453,10 @@ def test_subrange_kernel_rejects_invalid_ranges():
             range_subrange_svdb(8, *bad)
         with pytest.raises(DimOutOfRange, match="need 1 <= lo <= hi <= d"):
             _subrange_spectra(8, [(1, 8), bad, (2, 3)])
+    # the trim scan too, where no range would be left to scan
+    for bad in ((0,), (5, -1), (-3,)):
+        with pytest.raises(DimOutOfRange, match="need d >= 1 and max_trim >= 0"):
+            range_trim_projected_svdb(*bad)
 
 
 def test_subrange_kernel_raises_linalg_error_when_newton_does_not_converge(

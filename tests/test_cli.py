@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from querybound import Workload, all_range, cli, save_workload_csv
+from querybound import Workload, all_range, cli, save_workload_csv, workloads
 from querybound.bounds import predicate_projected_ratio, range_projected_ratio
 from querybound.mechanism import TRIAL_CAP
 
@@ -321,11 +321,17 @@ def test_gram_only_workload_via_csv(tmp_path, capsys):
     np.testing.assert_allclose(rep["svdb"], svdb(all_range([5])), rtol=1e-10)
 
 
-def test_table2_runs_no_eigensolve_over_64_rows(tmp_path, eigensolves):
+def test_table2_runs_no_eigensolve_over_64_rows(tmp_path, eigensolves, monkeypatch):
     # every Gram of the reference workloads and strategies has a closed-form
     # basis, per factor for the grids
+    bases = []
+    real_basis = workloads._dst1_basis
+    monkeypatch.setattr(workloads, "_dst1_basis", lambda d: bases.append(d) or real_basis(d))
     assert cli.main(["table2", "--out", str(tmp_path / "table2.csv")]) == 0
     assert [rows for rows in eigensolves if rows > 64] == []
+    # the table prints svdb alone of the bound analysis, which reads only the
+    # range workloads' eigenvalues: their DST-I eigenvectors are never built
+    assert bases == []
     # the table's bytes, pinned at OpenBLAS on one thread and at its default
     table = (tmp_path / "table2.csv").read_bytes()
     assert hashlib.md5(table).hexdigest() == "8802f9cf91f10f236b7ab9a6d7e27b0e"

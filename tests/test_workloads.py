@@ -72,6 +72,19 @@ def test_all_range_1d_rows_are_lexicographic_intervals():
     assert W.query_count == 3
 
 
+def test_range_rows_are_the_plain_loop_rows():
+    for d in range(1, 41):
+        ref = np.zeros((d * (d + 1) // 2, d))
+        k = 0
+        for lo in range(d):
+            for hi in range(lo, d):
+                ref[k, lo:hi + 1] = 1.0
+                k += 1
+        rows = workloads._range_rows_1d(d)
+        assert rows.dtype == ref.dtype
+        np.testing.assert_array_equal(rows, ref)
+
+
 def test_all_range_gram_closed_form_matches_rows():
     for d in (1, 2, 3, 5, 8):
         W = all_range([d])
@@ -170,8 +183,10 @@ def test_data_cube_full_cuboid_is_identity():
 
 def test_data_cube_forms_agree_on_repeated_rows(monkeypatch):
     # a size-1 attribute makes cuboid (1,) repeat the total query, and a
-    # cuboid listed twice repeats all its rows: both forms keep every row
-    cases = [([1, 3], [[1], []], [1.0, 1.0]), ([2, 3], [[2], [2]], [1.0, 1.0])]
+    # cuboid listed twice repeats all its rows: both forms keep every row.
+    # Weights with exact squares keep the Grams exact in either form
+    cases = [([1, 3], [[1], []], [1.0, 1.0]), ([2, 3], [[2], [2]], [1.0, 1.0]),
+             ([3, 4, 5], [[1, 2], [3], []], [1.5, 0.75, 2.0])]
     explicit = [data_cube(*case) for case in cases]
     monkeypatch.setattr(workloads, "EXPLICIT_CELL_CAP", 0)
     for W, case in zip(explicit, cases):
