@@ -173,7 +173,9 @@ def sensitivity(A, norm: str = "l2") -> float:
     if norm == "l1":
         if not A.is_explicit:
             raise GramOnlyL1("L1 sensitivity needs explicit rows, not just a Gram")
-        return float(np.max(_column_abs_sums(A.matrix), initial=0.0))
+        # rows of 0 and +-1 entries: a column's L1 norm is its closed-form count
+        sums = _column_abs_sums(A.matrix) if A._counts is None else A._counts
+        return float(np.max(sums, initial=0.0))
     if A.uniform is not None:
         return to_float(0.5 * A.uniform.log_diag)
     return float(np.sqrt(np.max(A.gram_diag(), initial=0.0)))

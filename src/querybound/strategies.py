@@ -17,6 +17,7 @@ from .logspace import log_add
 from .mechanism import StrategyErrorReport, _as_strategy, analytic_total_error
 from .numkernel import EigenPair, clean_spectrum, psd_sqrt_of
 from .workloads import (
+    _LAZY,
     Workload,
     _exact_gram,
     _read_matrix_csv,
@@ -77,7 +78,8 @@ def identity_strategy(n: int) -> Workload:
     if n < 1:
         raise DimOutOfRange(f"n must be >= 1, got {n}")
     check_gram_cells(n)
-    A = Workload.from_matrix(np.eye(n), dedup=False)
+    A = Workload(n, matrix=_LAZY, query_count=n)
+    A._defer_rows(lambda: np.eye(n), np.ones(n))
     A._attach_basis(np.ones(n), lambda: np.eye(n, order="F"))
     return A
 
@@ -115,10 +117,20 @@ def hierarchical_strategy(n: int, fanout: int = 2) -> Workload:
             ends = starts[1:] + [lo + size]
             for s, e in zip(starts, ends):
                 queue.append((s, e - s))
-    M = np.zeros((len(nodes), n))
-    for r, (lo, size) in enumerate(nodes):
-        M[r, lo:lo + size] = 1.0
-    A = Workload.from_matrix(M, dedup=False)
+
+    def rows():
+        M = np.zeros((len(nodes), n))
+        for r, (lo, size) in enumerate(nodes):
+            M[r, lo:lo + size] = 1.0
+        return M
+
+    # a cell's column count is the number of nodes covering it: a running
+    # sum over +1 at each node's first cell and -1 past its last
+    edges = np.zeros(n + 1)
+    np.add.at(edges, [lo for lo, _ in nodes], 1.0)
+    np.add.at(edges, [lo + size for lo, size in nodes], -1.0)
+    A = Workload(n, matrix=_LAZY, query_count=len(nodes))
+    A._defer_rows(rows, np.cumsum(edges[:n]))
     if _is_power(n, fanout):
         k = fanout
         values = _block_spectrum(n, k, (n * k - 1) // (k - 1), lambda b: (b - 1) // (k - 1))
@@ -139,17 +151,22 @@ def haar_strategy(n: int) -> Workload:
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"Haar strategy needs n = 2^k, got {n}")
     check_gram_cells(n)
-    M = np.zeros((n, n))  # the total row plus n/2 + n/4 + ... + 1 contrasts
-    M[0] = 1.0
-    r, block = 1, n
-    while block > 1:
-        half = block // 2
-        for start in range(0, n, block):
-            M[r, start:start + half] = 1.0
-            M[r, start + half:start + block] = -1.0
-            r += 1
-        block = half
-    A = Workload.from_matrix(M, dedup=False)
+
+    def rows():
+        M = np.zeros((n, n))  # the total row plus n/2 + n/4 + ... + 1 contrasts
+        M[0] = 1.0
+        r, block = 1, n
+        while block > 1:
+            half = block // 2
+            for start in range(0, n, block):
+                M[r, start:start + half] = 1.0
+                M[r, start + half:start + block] = -1.0
+                r += 1
+            block = half
+        return M
+
+    A = Workload(n, matrix=_LAZY, query_count=n)
+    A._defer_rows(rows, np.full(n, n.bit_length()))  # log2(n) + 1 rows per cell
     A._attach_basis(_block_spectrum(n, 2, n, lambda b: b), lambda: _block_contrasts(n, 2))
     return A
 

@@ -84,17 +84,23 @@ class Workload:
     assembled from theirs, and a Gram-form product forms its n x n Gram only
     when `gram` is read. A constructor that knows its Gram's eigenpairs in
     closed form attaches them (_attach_basis); no copy or projection
-    inherits them.
+    inherits them. Explicit rows the library builds itself are formed only
+    when `matrix` is read (_defer_rows).
     """
 
     def __init__(self, n, matrix=None, gram=None, uniform=None, query_count=None):
         self.n = int(n)
-        self.matrix = matrix
+        self._explicit = matrix is not None
+        self._matrix = None if matrix is _LAZY else matrix
         self._gram = None if gram is _LAZY else gram
         self.uniform = uniform
+        if query_count is None and self._matrix is not None:
+            query_count = self._matrix.shape[0]  # kron_product reads it, not the rows
         self._query_count = query_count
         self._gram_eigvals = None
         self._basis = None  # builds the eigenvectors of the cached eigenvalues
+        self._rows = None  # builds the explicit rows on first read of `matrix`
+        self._counts = None  # closed-form column counts of rows in {0, +-1}
         self.factors = None
         if self.n < 1:
             raise DimOutOfRange(f"cell count must be >= 1, got {n}")
@@ -129,7 +135,19 @@ class Workload:
 
     @property
     def is_explicit(self) -> bool:
-        return self.matrix is not None
+        return self._explicit
+
+    @property
+    def matrix(self):
+        """Explicit m x n rows (None for the Gram forms), formed on first read."""
+        if self._matrix is None and self._explicit:
+            M = self._form_matrix()
+            M.setflags(write=False)
+            self._matrix = M
+        return self._matrix
+
+    def _form_matrix(self) -> np.ndarray:
+        return self._rows()
 
     @property
     def query_count(self):
@@ -146,7 +164,7 @@ class Workload:
         return self._gram
 
     def _form_gram(self) -> np.ndarray:
-        if self.matrix is not None:
+        if self._explicit:
             check_gram_cells(self.n)
             G = self.matrix.T @ self.matrix
             return 0.5 * (G + G.T)
@@ -157,8 +175,11 @@ class Workload:
 
     def gram_diag(self) -> np.ndarray:
         """Diagonal of the Gram: explicit rows give their column sums of
-        squares, a product the Kronecker product of its factors' diagonals."""
-        if self.matrix is not None:
+        squares (their closed-form counts when every entry is 0 or +-1), a
+        product the Kronecker product of its factors' diagonals."""
+        if self._counts is not None:
+            return self._counts
+        if self._explicit:
             return np.einsum("ij,ij->j", self.matrix, self.matrix)
         if self.factors is not None:
             return reduce(np.kron, [f.gram_diag() for f in self.factors])
@@ -222,6 +243,17 @@ class Workload:
         values = np.ascontiguousarray(values)
         values.setflags(write=False)
         self._gram_eigvals = values
+
+    def _defer_rows(self, rows, counts=None):
+        """Explicit rows that rows() forms on first read of `matrix`, without
+        from_matrix's checks. counts, when the entries are all 0 or +-1,
+        holds each column's count of nonzero entries: its sum of squares
+        and its L1 norm alike, so neither needs the rows."""
+        self._rows = rows
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.float64)
+            counts.setflags(write=False)
+            self._counts = counts
 
     def _attach_basis(self, values, vectors):
         """Closed-form eigenpairs: values non-increasing, vectors() the matching
@@ -300,15 +332,28 @@ def kron_product(parts) -> Workload:
     if len(parts) == 1:
         return parts[0]
     n = math.prod(p.n for p in parts)
-    if all(p.is_explicit for p in parts) and \
-            math.prod(p.matrix.shape[0] for p in parts) * n <= EXPLICIT_ENTRY_CAP:
-        W = Workload.from_matrix(reduce(np.kron, [p.matrix for p in parts]), dedup=False)
+    counts = [p.query_count for p in parts]
+    m = None if None in counts else math.prod(counts)
+    factors = tuple(f for p in parts for f in (p.factors or (p,)))
+    if all(p.is_explicit for p in parts) and m * n <= EXPLICIT_ENTRY_CAP:
+        W = Workload(n, matrix=_LAZY, query_count=m)
+        unit = all(f._counts is not None for f in factors)
+        W._defer_rows(lambda: _finite_kron([p.matrix for p in parts]),
+                      reduce(np.kron, [f._counts for f in factors]) if unit else None)
     else:
         check_gram_cells(n)
-        counts = [p.query_count for p in parts]
-        W = Workload(n, gram=_LAZY, query_count=None if None in counts else math.prod(counts))
-    W.factors = tuple(f for p in parts for f in (p.factors or (p,)))
+        W = Workload(n, gram=_LAZY, query_count=m)
+    W.factors = factors
     return W
+
+
+def _finite_kron(mats) -> np.ndarray:
+    """Kronecker product of explicit rows, checked: rows from outside the
+    library may hold finite entries whose products overflow."""
+    M = reduce(np.kron, mats)
+    if not np.all(np.isfinite(M)):
+        raise NonFinite("workload matrix contains NaN or infinity")
+    return M
 
 
 def _dst1_basis(d: int) -> np.ndarray:
@@ -343,9 +388,8 @@ class _AllRange1D(Workload):
 
     def __init__(self, d: int, explicit: bool):
         if explicit:
-            M = _range_rows_1d(d)
-            M.setflags(write=False)
-            super().__init__(d, matrix=M, query_count=M.shape[0])
+            super().__init__(d, matrix=_LAZY, query_count=d * (d + 1) // 2)
+            self._defer_rows(lambda: _range_rows_1d(d), self.gram_diag())
         else:
             check_gram_cells(d)
             super().__init__(d, gram=_LAZY, query_count=d * (d + 1) // 2)

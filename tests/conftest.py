@@ -17,3 +17,18 @@ def eigensolves(monkeypatch):
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return rows
+
+
+@pytest.fixture
+def row_formations(monkeypatch):
+    """Cell count of every workload whose explicit rows are formed (through
+    Workload._form_matrix), in call order, from the moment the fixture is set up."""
+    from querybound import Workload
+    cells = []
+    real = Workload._form_matrix
+
+    def counted(self):
+        cells.append(self.n)
+        return real(self)
+    monkeypatch.setattr(Workload, "_form_matrix", counted)
+    return cells

@@ -321,7 +321,18 @@ def test_gram_only_workload_via_csv(tmp_path, capsys):
     np.testing.assert_allclose(rep["svdb"], svdb(all_range([5])), rtol=1e-10)
 
 
-def test_table2_runs_no_eigensolve_over_64_rows(tmp_path, eigensolves, monkeypatch):
+def test_bound_on_a_1d_range_forms_no_rows(row_formations, capsys):
+    # the report reads the closed-form spectrum, diagonal and trace: the
+    # explicit rows of every 1-D range up to the entry cap are never formed
+    for d in range(8, 272):
+        assert cli.main(["bound", "--cells", str(d)]) == 0
+        assert all_range([d]).is_explicit
+    capsys.readouterr()
+    assert row_formations == []
+
+
+def test_table2_runs_no_eigensolve_over_64_rows(tmp_path, eigensolves, row_formations,
+                                                monkeypatch):
     # every Gram of the reference workloads and strategies has a closed-form
     # basis, per factor for the grids
     bases = []
@@ -332,6 +343,9 @@ def test_table2_runs_no_eigensolve_over_64_rows(tmp_path, eigensolves, monkeypat
     # the table prints svdb alone of the bound analysis, which reads only the
     # range workloads' eigenvalues: their DST-I eigenvectors are never built
     assert bases == []
+    # the errors read column counts and eigenpairs, never the explicit rows
+    # of a strategy or product
+    assert row_formations == []
     # the table's bytes, pinned at OpenBLAS on one thread and at its default
     table = (tmp_path / "table2.csv").read_bytes()
     assert hashlib.md5(table).hexdigest() == "8802f9cf91f10f236b7ab9a6d7e27b0e"

@@ -7,7 +7,9 @@ factors agree with the dense path on the same Gram to rounding, and so do
 the uniform log-space form and its materialized Gram. The closed-form
 eigenpairs of 1-D ranges, the identity, Haar and regular trees diagonalize
 their Grams, and errors through them agree with the same Grams solved
-densely. The analytic error never falls below the spectral bound, and
+densely. Rows the library forms on first read are its eager rows bit for
+bit, and their closed-form column counts are the column sums over them.
+The analytic error never falls below the spectral bound, and
 sqrt(svdb) is subadditive under union. The batched projection scan is the
 per-subset scan, bit for bit on integer workloads, with each subset solved
 by the rule the scan applies to it. A block of noise draws
@@ -16,6 +18,7 @@ run checks the same ones.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from querybound import (
     range_gram_1d,
     range_projection_family,
     range_subrange_eigvals,
+    sensitivity,
     sqrt_strategy,
     svdb,
     svdb_log,
@@ -51,7 +55,7 @@ from querybound import (
     workloads,
 )
 from querybound.logspace import to_float
-from querybound.mechanism import _recovery_matrix
+from querybound.mechanism import _column_abs_sums, _recovery_matrix
 from querybound.numkernel import EigenPair, quadratic_forms
 from querybound.strategies import _uniform_sqrt
 
@@ -261,6 +265,92 @@ def test_range_forms_by_prefix_sums_match_the_dense_forms(d, gram_form, seed):
         pair = EigenPair(np.zeros(vectors.shape[1]), vectors)
         np.testing.assert_allclose(W.gram_forms(pair), quadratic_forms(range_gram_1d(d), pair),
                                    rtol=1e-12)
+
+
+def _eager_tree_rows(n, k):
+    """Tree rows as the constructor once formed them: breadth-first nodes,
+    the last child of an uneven split taking the remainder."""
+    nodes, queue = [], [(0, n)]
+    while queue:
+        lo, size = queue.pop(0)
+        nodes.append((lo, size))
+        if size > 1:
+            q = -(-size // min(k, size))
+            starts = list(range(lo, lo + size, q))
+            queue += [(s, e - s) for s, e in zip(starts, starts[1:] + [lo + size])]
+    M = np.zeros((len(nodes), n))
+    for r, (lo, size) in enumerate(nodes):
+        M[r, lo:lo + size] = 1.0
+    return M
+
+
+def _eager_haar_rows(n):
+    M = np.zeros((n, n))
+    M[0] = 1.0
+    r, block = 1, n
+    while block > 1:
+        half = block // 2
+        for start in range(0, n, block):
+            M[r, start:start + half] = 1.0
+            M[r, start + half:start + block] = -1.0
+            r += 1
+        block = half
+    return M
+
+
+@st.composite
+def deferred_rows(draw, max_n=64):
+    """(X, M, unit): a library workload whose rows are formed on first read,
+    each entry 0 or +-1, with the rows M its eager builder formed; now and
+    then explicit integer rows instead, which carry no column counts."""
+    kind = draw(st.sampled_from(["identity", "tree", "haar", "range", "rows"]))
+    n = draw(st.integers(1, max_n))
+    if kind == "identity":
+        return identity_strategy(n), np.eye(n), True
+    if kind == "tree":
+        k = draw(st.integers(2, 4))
+        regular = max(k ** j for j in range(7) if k ** j <= n)
+        n = draw(st.sampled_from([n, regular]))
+        return hierarchical_strategy(n, k), _eager_tree_rows(n, k), True
+    if kind == "haar":
+        n = 2 ** draw(st.integers(0, 8 if max_n > 8 else 2))
+        return haar_strategy(n), _eager_haar_rows(n), True
+    if kind == "range":
+        return _range(n, False), workloads._range_rows_1d(n), True
+    M = draw(_matrices(st.integers(1, 3), min(n, 4)))
+    return Workload.from_matrix(M, dedup=False), M, False
+
+
+@st.composite
+def deferred_rows_and_products(draw):
+    """deferred_rows, or an explicit product of two or three small ones,
+    perhaps nested, with the Kronecker product of their eager rows."""
+    if draw(st.booleans()):
+        return draw(deferred_rows())
+    parts = draw(st.lists(deferred_rows(max_n=6), min_size=2, max_size=3))
+    X = kron_product([X for X, _, _ in parts])
+    if len(parts) == 3 and draw(st.booleans()):
+        X = kron_product([kron_product([X for X, _, _ in parts[:2]]), parts[2][0]])
+    assert X.is_explicit
+    return X, reduce(np.kron, [M for _, M, _ in parts]), all(u for _, _, u in parts)
+
+
+@SETTINGS
+@given(deferred_rows_and_products())
+def test_deferred_rows_and_column_counts_are_the_eager_ones_bit_for_bit(case):
+    X, M, unit = case
+    assert (X._counts is not None) == unit
+    if unit:  # the closed forms, read before any row is formed
+        diag, l1 = X.gram_diag(), sensitivity(X, "l1")
+        assert X._matrix is None
+        np.testing.assert_array_equal(diag, np.einsum("ij,ij->j", M, M))
+        np.testing.assert_array_equal(X._counts, _column_abs_sums(M))
+        assert l1 == float(np.max(_column_abs_sums(M)))
+    assert X.is_explicit and X.query_count == M.shape[0]
+    assert X.matrix.dtype == M.dtype and X.matrix.flags.c_contiguous
+    np.testing.assert_array_equal(X.matrix, M)
+    assert X.matrix is X.matrix and not X.matrix.flags.writeable
+    np.testing.assert_array_equal(X.gram_diag(), np.einsum("ij,ij->j", M, M))
 
 
 def test_irregular_trees_and_derived_workloads_carry_no_basis(eigensolves):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,20 @@ def test_kron_strategy_gram_is_kronecker():
         big.gram,
         np.kron(hierarchical_strategy(64).gram,
                 hierarchical_strategy(32).gram), rtol=1e-12)
+
+
+def test_evaluating_an_explicit_identity_product_forms_no_rows():
+    # the product of identities is explicit (2048 x 2048 rows, 32 MiB) but
+    # its error reads only column counts and the factors' eigenpairs
+    tracemalloc.start()
+    try:
+        A = kron_strategy([identity_strategy(64), identity_strategy(32)])
+        evaluate_strategy(all_range([64, 32]), A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.is_explicit
+    assert peak < 2 * 2 ** 20
 
 
 def test_strategy_csv_roundtrip(tmp_path):
